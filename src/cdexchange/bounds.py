@@ -57,6 +57,8 @@ __all__ = [
     "minorization_check",
 ]
 
+_MIN_GRID = 64  # coarsest grid the density floor accepts
+
 
 class NumericalNonConvergence(RuntimeError):
     """A numerical search could not locate what it was asked for."""
@@ -147,8 +149,8 @@ def density_ratio_floor(level, alphas, grid: int = 256, refine: int | None = Non
     conservative) for all of them.  Scale-free in the good's total.
     """
     level, a = _check_alphas(level, alphas)
-    if grid < 64:
-        raise ValueError(f"grid must be >= 64, got {grid}")
+    if grid < _MIN_GRID:
+        raise ValueError(f"grid must be >= {_MIN_GRID}, got {grid}")
     if refine is None:
         refine = 4 * grid
     best = math.inf

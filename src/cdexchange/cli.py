@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import doeblin_report
+from .bounds import _MIN_GRID, doeblin_report
 from .economy import (
     ConfigError,
     EconomyConfig,
@@ -313,6 +313,10 @@ def _dispatch(manifest: RunManifest) -> int:
         raise ValidationError(f"unknown command {manifest.command!r}", path="command")
     if manifest.fmt not in ("csv", "json", "both"):
         raise ValidationError(f"unknown format {manifest.fmt!r}", path="format")
+    if manifest.command in ("simulate", "verify") and manifest.workers < 1:
+        raise ValidationError(f"must be >= 1, got {manifest.workers}", path="workers")
+    if manifest.command == "bound" and manifest.grid < _MIN_GRID:
+        raise ValidationError(f"must be >= {_MIN_GRID}, got {manifest.grid}", path="grid")
     try:
         os.makedirs(manifest.output_dir, exist_ok=True)
     except OSError as err:

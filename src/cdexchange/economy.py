@@ -339,14 +339,6 @@ def _split_pair(pooled, fraction):
     return gi, gj
 
 
-def _encounter_inplace(h, i, j, exponents, rng):
-    frac = _gamma_fractions(exponents[i], exponents[j], rng)
-    pooled = h[i] + h[j]
-    gi, gj = _split_pair(pooled, frac)
-    h[i] = gi
-    h[j] = gj
-
-
 def apply_encounter(
     state: State, i: int, j: int, cfg: EconomyConfig, rng: np.random.Generator
 ) -> State:
@@ -362,7 +354,8 @@ def apply_encounter(
     h = np.array(state.holdings, dtype=float)
     if h.shape != (cfg.n_agents, cfg.n_goods):
         raise BadDimensions("state shape does not match config")
-    _encounter_inplace(h, i, j, cfg.exponents, rng)
+    frac = _gamma_fractions(cfg.exponents[i], cfg.exponents[j], rng)
+    h[i], h[j] = _split_pair(h[i] + h[j], frac)
     return State(h)
 
 

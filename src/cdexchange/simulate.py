@@ -4,10 +4,14 @@ Waiting times between encounters are Exponential(K) draws with
 ``K = sum_{i<j} rates[i, j]``; the meeting pair is chosen with
 probability ``rates[i, j] / K`` from a precomputed alias table.
 
-Each trajectory owns a PCG64 stream spawned from ``(config seed,
-trajectory index)``, and ensemble aggregation reduces per-trajectory
-results in index order, so results are bit-identical no matter how many
-worker threads run the ensemble or in which order they finish.
+Trajectories run in fixed blocks of ``_BLOCK`` rows that advance in
+lockstep: each step draws the waiting times, the meeting pairs and the
+Beta fractions of every still-running row with one vectorized call each.
+Block ``b`` owns one PCG64 stream spawned from ``(config seed, b)``, and
+every block writes its own slice of the result, so results are
+bit-identical no matter how many worker threads run the blocks or in
+which order they finish.  The embedded (clock-free) chain is the same
+step without the clock.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .economy import (
     ConfigError,
     EconomyConfig,
     State,
-    _encounter_inplace,
     _gamma_fractions,
     _split_pair,
     check_state,
@@ -48,9 +51,14 @@ __all__ = [
     "plan_digest",
 ]
 
-# Spawn-key namespaces.  Trajectories use (0, index); statistical reference
-# draws elsewhere in the package use 1 and 2 so streams never collide.
+# Spawn-key namespaces.  Trajectory blocks use (0, block); statistical
+# reference draws elsewhere in the package use 1 and 2 so streams never
+# collide.
 _NS_TRAJECTORY = 0
+
+# Trajectories per lockstep block.  Fixed, so that which rows share a stream
+# never depends on the worker count.
+_BLOCK = 1024
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:
@@ -114,9 +122,9 @@ class SimulationPlan:
     where snapshots are taken, and where trajectories start.
 
     ``initial_state`` is a :class:`State`, the string ``"endowments"``, or
-    the string ``"equilibrium"`` (a fresh per-good Dirichlet draw at the
-    start of every trajectory, consumed from that trajectory's stream
-    before its event loop).
+    the string ``"equilibrium"`` (a fresh per-good Dirichlet draw for every
+    trajectory, taken for a whole block from the block's stream before its
+    first step).
     """
 
     cfg: EconomyConfig
@@ -167,63 +175,92 @@ class Trajectory:
     seed_used: int
 
 
-def _resolve_initial(plan: SimulationPlan, rng: np.random.Generator) -> np.ndarray:
+def _initial_block(plan: SimulationPlan, rng: np.random.Generator) -> np.ndarray:
+    """Starting holdings of a block, shape (_BLOCK, N, M)."""
     cfg = plan.cfg
     init = plan.initial_state
+    shape = (_BLOCK, cfg.n_agents, cfg.n_goods)
     if isinstance(init, State):
-        return np.array(init.holdings, dtype=float)
+        return np.array(np.broadcast_to(init.holdings, shape), dtype=float)
     if init == "endowments":
-        return np.array(cfg.endowments, dtype=float)
-    h = np.empty((cfg.n_agents, cfg.n_goods))
+        return np.array(np.broadcast_to(cfg.endowments, shape), dtype=float)
+    h = np.empty(shape)
     for m in range(cfg.n_goods):
-        h[:, m] = sample_dirichlet(good_spec(cfg, m), rng)
+        h[:, :, m] = sample_dirichlet(good_spec(cfg, m), rng, size=_BLOCK)
     return h
 
 
-def _simulate(plan, index, alias, iu, ju):
+def _encounters(h, rows, table, exponents, rng):
+    """One encounter on each listed row of the (B, N, M) batch ``h``, in
+    place: a meeting pair per row, then a Beta fraction per good, applied
+    through the bit-exact pair split."""
+    alias, iu, ju = table
+    p = alias.draw_many(rng, rows.size)
+    i = iu[p]
+    j = ju[p]
+    frac = _gamma_fractions(exponents[i], exponents[j], rng)
+    gi, gj = _split_pair(h[rows, i] + h[rows, j], frac)
+    h[rows, i] = gi
+    h[rows, j] = gj
+
+
+def _run_block(plan, block, table, out, events):
+    """Run the ``_BLOCK`` trajectories of one block in lockstep.
+
+    Rows are kept from the first: the snapshots of row ``r`` go to
+    ``out[:, r]`` (``out`` has shape (T, n_keep, N, M)) and its event count
+    to ``events[r]``.  Rows past ``n_keep`` still run, so every row is the
+    same whatever the ensemble size.  Returns the seed of the block's
+    stream.
+    """
     cfg = plan.cfg
-    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_NS_TRAJECTORY, index))
+    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_NS_TRAJECTORY, block))
     seed_used = int(ss.generate_state(1, dtype=np.uint64)[0])
     rng = np.random.Generator(np.random.PCG64(ss))
 
-    holdings = _resolve_initial(plan, rng)
+    n_keep = events.size
+    h = _initial_block(plan, rng)
     times = plan.sample_times
-    t_end = plan.t_end
-    total_rate = cfg.total_rate
-    exponents = cfg.exponents
-    n_times = times.size
-    out = np.empty((n_times, cfg.n_agents, cfg.n_goods))
-
-    t = 0.0
-    ptr = 0
-    n_events = 0
-    log1p = math.log1p
-    uniform = rng.random
+    clock = np.zeros(_BLOCK)
+    ptr = np.zeros(_BLOCK, dtype=np.intp)  # next sample index of each row
+    n_events = np.zeros(_BLOCK, dtype=np.int64)
+    rows = np.arange(_BLOCK)  # rows whose clock has not passed t_end
     while True:
-        t_next = t - log1p(-uniform()) / total_rate
-        while ptr < n_times and times[ptr] < t_next:
-            out[ptr] = holdings
-            ptr += 1
-        if t_next > t_end:
-            break
-        p = alias.draw(rng)
-        _encounter_inplace(holdings, iu[p], ju[p], exponents, rng)
-        n_events += 1
-        t = t_next
-    while ptr < n_times:
-        out[ptr] = holdings
-        ptr += 1
-    return out, n_events, seed_used
+        t_next = clock[rows] + rng.standard_exponential(rows.size) / cfg.total_rate
+        # Every sample time before a row's next event sees its current
+        # holdings (the right-continuous value).
+        due = np.searchsorted(times, t_next)
+        start = ptr[rows]
+        count = np.where(rows < n_keep, due - start, 0)
+        if count.any():
+            rr = np.repeat(rows, count)
+            run_start = np.cumsum(count) - count
+            tt = np.arange(rr.size) + np.repeat(start - run_start, count)
+            out[tt, rr] = h[rr]
+            ptr[rows] = due
+        live = t_next <= plan.t_end
+        rows = rows[live]
+        if rows.size == 0:
+            events[:] = n_events[:n_keep]
+            return seed_used
+        clock[rows] = t_next[live]
+        _encounters(h, rows, table, cfg.exponents, rng)
+        n_events[rows] += 1
 
 
 def simulate_trajectory(plan: SimulationPlan, trajectory_index: int) -> Trajectory:
-    """Run one trajectory.  Deterministic given (cfg.seed, trajectory_index)."""
+    """Run one trajectory: row ``trajectory_index % _BLOCK`` of block
+    ``trajectory_index // _BLOCK``, the same row :func:`run_ensemble`
+    returns.  Deterministic given (cfg.seed, trajectory_index)."""
     plan = validate_plan(plan)
     if not isinstance(trajectory_index, (int, np.integer)) or trajectory_index < 0:
         raise ValueError("trajectory_index must be a non-negative integer")
-    alias, iu, ju = _pair_table(plan.cfg)
-    out, n_events, seed_used = _simulate(plan, int(trajectory_index), alias, iu, ju)
-    return Trajectory(plan.sample_times, out, n_events, seed_used)
+    cfg = plan.cfg
+    block, row = divmod(int(trajectory_index), _BLOCK)
+    out = np.empty((plan.sample_times.size, row + 1, cfg.n_agents, cfg.n_goods))
+    events = np.empty(row + 1, dtype=np.int64)
+    seed_used = _run_block(plan, block, _pair_table(cfg), out, events)
+    return Trajectory(plan.sample_times, out[:, row].copy(), int(events[row]), seed_used)
 
 
 @dataclass
@@ -263,9 +300,10 @@ def run_ensemble(
     """Simulate ``plan.n_trajectories`` independent trajectories and
     aggregate them.
 
-    ``workers`` only controls how the index range is executed; every
-    trajectory is a pure function of (seed, index) and aggregation runs in
-    index order, so the result is bit-identical for any worker count.
+    ``workers`` only controls how many threads run the blocks; every block
+    is a pure function of (plan, block index) and writes its own rows, and
+    aggregation runs in index order, so the result is bit-identical for
+    any worker count.
     """
     plan = validate_plan(plan)
     if workers < 1:
@@ -274,29 +312,24 @@ def run_ensemble(
     n_traj = plan.n_trajectories
     n_times = plan.sample_times.size
     shape = (cfg.n_agents, cfg.n_goods)
-    alias, iu, ju = _pair_table(cfg)
+    table = _pair_table(cfg)
 
     raw = np.empty((n_times, n_traj) + shape)
     events = np.empty(n_traj, dtype=np.int64)
 
-    def run_block(lo, hi):
-        for k in range(lo, hi):
-            out, n_events, _ = _simulate(plan, k, alias, iu, ju)
-            raw[:, k] = out
-            events[k] = n_events
+    def run_block(block):
+        lo = block * _BLOCK
+        hi = min(lo + _BLOCK, n_traj)
+        _run_block(plan, block, table, raw[:, lo:hi], events[lo:hi])
 
+    n_blocks = -(-n_traj // _BLOCK)
+    workers = min(workers, n_blocks)
     if workers == 1:
-        run_block(0, n_traj)
+        for block in range(n_blocks):
+            run_block(block)
     else:
-        bounds = np.linspace(0, n_traj, workers * 8 + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_block, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for f in futures:
-                f.result()
+            list(pool.map(run_block, range(n_blocks)))
 
     means = raw.mean(axis=1)
 
@@ -344,31 +377,18 @@ def embedded_chain_step(
     h = np.array(state.holdings, dtype=float)
     if h.shape != (cfg.n_agents, cfg.n_goods):
         raise BadDimensions("state shape does not match config")
-    alias, iu, ju = _pair_table(cfg)
-    exponents = cfg.exponents
-    for _ in range(int(steps)):
-        p = alias.draw(rng)
-        _encounter_inplace(h, iu[p], ju[p], exponents, rng)
-    return State(h)
+    return State(_embedded_batch(h[None], cfg, steps, rng)[0])
 
 
 def _embedded_batch(holdings, cfg, steps, rng):
-    """Vectorized embedded steps across a batch of independent states.
+    """Embedded steps across a batch of independent states, in lockstep.
 
     ``holdings`` has shape (batch, N, M) and is updated in place.
     """
-    alias, iu, ju = _pair_table(cfg)
-    batch = holdings.shape[0]
-    rows = np.arange(batch)
+    table = _pair_table(cfg)
+    rows = np.arange(holdings.shape[0])
     for _ in range(int(steps)):
-        p = alias.draw_many(rng, batch)
-        i = iu[p]
-        j = ju[p]
-        frac = _gamma_fractions(cfg.exponents[i], cfg.exponents[j], rng)
-        pooled = holdings[rows, i] + holdings[rows, j]
-        gi, gj = _split_pair(pooled, frac)
-        holdings[rows, i] = gi
-        holdings[rows, j] = gj
+        _encounters(holdings, rows, table, cfg.exponents, rng)
     return holdings
 
 

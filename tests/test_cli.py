@@ -285,11 +285,17 @@ def test_run_exit_codes(tmp_path, monkeypatch, capsys):
         RunManifest("verify", out, config_path=write_doc(tmp_path, doc, "nosim.json"))
     ) == 1
 
+    good = write_doc(tmp_path, minimal_doc(), "good.json")
+    for command in ("simulate", "verify"):
+        assert run(RunManifest(command, out, config_path=good, workers=0)) == 1
+        assert "workers" in capsys.readouterr().err
+    assert run(RunManifest("bound", out, config_path=good, grid=10)) == 1
+    assert "grid" in capsys.readouterr().err
+
     def boom(*a, **k):
         raise RuntimeError("backend fell over")
 
     monkeypatch.setattr(cli, "run_ensemble", boom)
-    good = write_doc(tmp_path, minimal_doc(), "good.json")
     assert run(RunManifest("simulate", out, config_path=good)) == 2
     assert "backend fell over" in capsys.readouterr().err
 

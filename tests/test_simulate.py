@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.linalg import expm
+from scipy.stats import ks_2samp, norm
 
 from cdexchange import (
     AliasTable,
@@ -19,8 +21,9 @@ from cdexchange import (
     simulate_trajectory,
     validate_plan,
 )
+from cdexchange import simulate
 from cdexchange.economy import ConfigError
-from cdexchange.simulate import _embedded_batch, _pair_table
+from cdexchange.simulate import _BLOCK, _embedded_batch, _pair_table
 
 from util import KS_CRIT_1PCT, make_config, uniform_config
 
@@ -143,10 +146,62 @@ def test_trajectory_determinism():
     a = simulate_trajectory(plan, 5)
     b = simulate_trajectory(plan, 5)
     c = simulate_trajectory(plan, 6)
+    d = simulate_trajectory(plan, 5 + _BLOCK)
     assert np.array_equal(a.holdings, b.holdings)
     assert a.n_events == b.n_events and a.seed_used == b.seed_used
     assert not np.array_equal(a.holdings, c.holdings)
-    assert a.seed_used != c.seed_used
+    # rows of one block share its stream; the next block has its own
+    assert a.seed_used == c.seed_used
+    assert a.seed_used != d.seed_used
+
+
+def test_trajectory_index_validated():
+    plan = small_plan(uniform_config(2))
+    for bad in (-1, 1.0):
+        with pytest.raises(ValueError):
+            simulate_trajectory(plan, bad)
+
+
+def test_block_of_one_matches_scalar_reference(monkeypatch):
+    # With one row per block the lockstep kernel must reproduce a plain
+    # event loop that makes the same draws in the same order, bit for bit.
+    monkeypatch.setattr(simulate, "_BLOCK", 1)
+    cfg = make_config(
+        rates=[[0.0, 1.0, 2.0], [1.0, 0.0, 0.5], [2.0, 0.5, 0.0]],
+        exponents=[[0.7, 2.0], [1.3, 0.4], [2.5, 1.0]],
+        endowments=[[1.0, 0.2], [0.0, 0.3], [0.0, 0.5]],
+        seed=5,
+    )
+    plan = validate_plan(
+        small_plan(cfg, t_end=3.0, sample_times=np.array([0.0, 0.5, 0.5, 2.0, 3.0]),
+                   n_trajectories=4)
+    )
+    traj = simulate_trajectory(plan, 3)
+
+    alias, iu, ju = _pair_table(cfg)
+    rng = derived_rng(cfg.seed, 0, 3)
+    h = np.array(cfg.endowments)
+    expected = np.empty_like(traj.holdings)
+    t, ptr, n_events = 0.0, 0, 0
+    while True:
+        t_next = t + rng.standard_exponential(1)[0] / cfg.total_rate
+        while ptr < plan.sample_times.size and plan.sample_times[ptr] < t_next:
+            expected[ptr] = h
+            ptr += 1
+        if t_next > plan.t_end:
+            break
+        p = alias.draw_many(rng, 1)[0]
+        i, j = iu[p], ju[p]
+        x = rng.standard_gamma(cfg.exponents[i][None])[0]
+        y = rng.standard_gamma(cfg.exponents[j][None])[0]
+        pooled = h[i] + h[j]
+        h[i] = pooled * (x / (x + y))
+        h[j] = pooled - h[i]
+        h[i] = pooled - h[j]
+        n_events += 1
+        t = t_next
+    assert n_events == traj.n_events > 0
+    assert np.array_equal(expected, traj.holdings)
 
 
 def test_trajectory_conserves_goods():
@@ -209,6 +264,26 @@ def test_ensemble_bit_identical_across_runs_and_workers():
     assert base.plan_digest == plan_digest(plan)
 
 
+def test_multi_block_ensemble():
+    # three blocks, the last one partial
+    cfg = uniform_config(3, n_goods=2, alpha=0.7, seed=29)
+    plan = small_plan(cfg, n_trajectories=2 * _BLOCK + 3, initial_state="equilibrium")
+    base = run_ensemble(plan, keep_samples=True)
+    for workers in (2, 8):
+        again = run_ensemble(plan, keep_samples=True, workers=workers)
+        assert np.array_equal(base.samples, again.samples)
+        assert np.array_equal(base.means, again.means)
+        assert np.array_equal(base.covariances, again.covariances)
+        assert np.array_equal(base.event_counts, again.event_counts)
+    for k in (2 * _BLOCK + 1, _BLOCK - 1):
+        traj = simulate_trajectory(plan, k)
+        assert np.array_equal(traj.holdings, base.samples[:, k])
+        assert traj.n_events == base.event_counts[k]
+    # a smaller ensemble is a prefix of a larger one
+    short = run_ensemble(replace(plan, n_trajectories=_BLOCK + 1), keep_samples=True)
+    assert np.array_equal(short.samples, base.samples[:, : _BLOCK + 1])
+
+
 def test_ensemble_histograms_and_means():
     cfg = uniform_config(3, total=2.0, seed=3)
     plan = small_plan(cfg, n_trajectories=400)
@@ -228,6 +303,48 @@ def test_ensemble_covariance_matches_numpy():
     pair_idx = ens.moment_pairs.index(((0, 0), (1, 0)))
     manual = np.cov(ens.samples[t, :, 0, 0], ens.samples[t, :, 1, 0], ddof=1)[0, 1]
     assert np.isclose(ens.covariances[t, pair_idx], manual, rtol=1e-12)
+
+
+def _mean_generator(cfg, good):
+    """Generator A of the exact mean dynamics of one good,
+    d/dt E g = A E g, with A[i, j] = r_ij a_i / (a_i + a_j) off the
+    diagonal and columns summing to zero."""
+    a = cfg.exponents[:, good]
+    gen = cfg.rates * a[:, None] / (a[:, None] + a[None, :])
+    np.fill_diagonal(gen, 0.0)
+    np.fill_diagonal(gen, -gen.sum(axis=0))
+    return gen
+
+
+def test_transient_means_follow_exact_ode():
+    # Stationary checks cannot see a wrong clock rate or pair weight (any
+    # of them leaves the Dirichlet law invariant); the transient means can.
+    cfg = make_config(
+        rates=[
+            [0.0, 0.4, 1.5, 0.8],
+            [0.4, 0.0, 0.6, 2.0],
+            [1.5, 0.6, 0.0, 0.3],
+            [0.8, 2.0, 0.3, 0.0],
+        ],
+        exponents=[[0.5, 2.0], [1.0, 0.6], [2.5, 1.5], [1.7, 3.0]],
+        endowments=np.full((4, 2), 0.25),
+        seed=2718,
+    )
+    times = np.array([0.1, 0.3, 0.6, 1.2, 2.5])
+    n = 20_000
+    plan = small_plan(cfg, t_end=2.5, sample_times=times, n_trajectories=n,
+                      initial_state=State.point_mass(cfg, 0))
+    ens = run_ensemble(plan, keep_samples=True)
+    se = ens.samples.std(axis=1, ddof=1) / math.sqrt(n)
+    z = np.empty_like(ens.means)
+    for g in range(cfg.n_goods):
+        gen = _mean_generator(cfg, g)
+        start = State.point_mass(cfg, 0).holdings[:, g]
+        exact = np.array([expm(gen * t) @ start for t in times])
+        z[:, :, g] = (ens.means[:, :, g] - exact) / se[:, :, g]
+    # Bonferroni over every (time, agent, good) at family level 1e-4
+    bound = norm.isf(1e-4 / (2 * z.size))
+    assert np.abs(z).max() <= bound
 
 
 def test_equilibrium_start_is_stationary():
