@@ -33,12 +33,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-agents", type=int, default=6)
     ap.add_argument("--alpha", type=float, default=1.0)
-    ap.add_argument("--grid", type=int, default=128)
     args = ap.parse_args()
 
     print(f"{'N':>3}  {'log10 coeff':>12}  {'tau*':>10}  {'rate':>12}")
     for n in range(2, args.max_agents + 1):
-        rep = doeblin_report(uniform_config(n, args.alpha), grid=args.grid)
+        rep = doeblin_report(uniform_config(n, args.alpha))
         good = rep.goods[0]
         log10_c = good.levels[-1].log_coefficient / math.log(10.0)
         print(

@@ -7,10 +7,11 @@ becomes a certified numerical lower bound here:
 
 * ``rate_ratio``: min/max off-diagonal encounter rate, in (0, 1].
 * ``density_ratio_floor``: floor of the two-variable comparison function
-  ``(x - y)**(a - 1) * x**(1 - a - b)`` over its admissible wedge, by
-  per-cell monotone corner bounds on a grid plus local bisection.
+  ``(x - y)**(a - 1) * x**(1 - a - b)`` over its admissible wedge: the
+  function is monotone in each of ``x - y`` and ``x``, so its exact
+  minimum sits at a vertex of the wedge and has a closed form.
 * ``gamma_ratio_floor``: floor of the Gamma-function ratio over agent
-  relabelings.
+  relabelings, from one sorted prefix sum of the exponents.
 * ``minorization_coefficients``: the inductive coefficients from 2 agents
   up to the full economy, multiplied out in log space.
 * ``minorization_mass`` and ``optimize_rate``: the mass of the dominated
@@ -18,17 +19,20 @@ becomes a certified numerical lower bound here:
   tail) and the certified exponential rate, maximized over ``tau``.
 
 Every floor errs downward, so the resulting rate is a true bound; the
-price of each conservative step is only a smaller reported rate.
+price of each conservative step is only a smaller reported rate.  Both
+floors are computed in log space and rounded down there by a margin
+proportional to the magnitude of the log terms, which covers the
+rounding of every elementary function and sum; an exact floor (1 for
+the density floor when no exponent exceeds 1) stays exact.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import digamma, gammainc, gammaincc, gammaln
 
 from .economy import (
     EconomyConfig,
@@ -57,8 +61,6 @@ __all__ = [
     "minorization_check",
 ]
 
-_MIN_GRID = 64  # coarsest grid the density floor accepts
-
 
 class NumericalNonConvergence(RuntimeError):
     """A numerical search could not locate what it was asked for."""
@@ -83,85 +85,58 @@ def _check_alphas(level, alphas):
     return int(level), a
 
 
-def _cell_floor(a, b, delta, y0, y1, x0, x1):
-    # Lower bound of (x-y)**(a-1) * x**(1-a-b) on [y0,y1] x [x0,x1]
-    # intersected with the wedge {x >= y + delta}.  Both factors are
-    # monotone in their own variable (u = x - y and x respectively), so
-    # the bound is a product of corner values; cells that miss the wedge
-    # contribute +inf.
-    valid = x1 > y0 + delta
-    u_lo = np.maximum(delta, x0 - y1)
-    u_hi = np.maximum(x1 - y0, u_lo)
-    u_at = u_lo if a >= 1.0 else u_hi
-    m1 = np.power(np.where(valid, u_at, 1.0), a - 1.0)
-    x_min = np.maximum(x0, y0 + delta)
-    e2 = 1.0 - a - b
-    x_at = x_min if e2 >= 0.0 else x1
-    m2 = np.power(np.where(valid, x_at, 1.0), e2)
-    return np.where(valid, m1 * m2, np.inf)
+def _ordered_pairs(values):
+    """``(values[i], values[j])`` for every ``i != j``, as two flat arrays."""
+    i, j = np.nonzero(~np.eye(values.size, dtype=bool))
+    return values[i], values[j]
 
 
-def _pair_floor(a, b, level, grid, refine):
-    # Certified floor of (x-y)**(a-1) * x**(1-a-b) over
-    # y in [0, 1/(level+1)], x in [y + delta, 1], delta = 1/(level(level+1)),
-    # at unit total (the function is scale-free in the total).
-    delta = 1.0 / (level * (level + 1.0))
-    ys = np.linspace(0.0, 1.0 / (level + 1.0), grid + 1)
-    xs = np.linspace(delta, 1.0, grid + 1)
-    bounds = _cell_floor(
-        a, b, delta,
-        ys[:-1][:, None], ys[1:][:, None],
-        xs[:-1][None, :], xs[1:][None, :],
-    )
-    yi, xi = np.nonzero(np.isfinite(bounds))
-    heap = [
-        (float(bounds[r, c]), k,
-         float(ys[r]), float(ys[r + 1]), float(xs[c]), float(xs[c + 1]))
-        for k, (r, c) in enumerate(zip(yi, xi))
-    ]
-    heapq.heapify(heap)
-    counter = len(heap)
-    # Local bisection: repeatedly split the cell holding the current
-    # global minimum; children's bounds can only rise, so the heap root
-    # stays a certified floor while it tightens toward the exact minimum.
-    for _ in range(refine):
-        _, _, y0, y1, x0, x1 = heapq.heappop(heap)
-        ym, xm = 0.5 * (y0 + y1), 0.5 * (x0 + x1)
-        for cy0, cy1 in ((y0, ym), (ym, y1)):
-            for cx0, cx1 in ((x0, xm), (xm, x1)):
-                v = float(_cell_floor(a, b, delta, cy0, cy1, cx0, cx1))
-                if math.isfinite(v):
-                    heapq.heappush(heap, (v, counter, cy0, cy1, cx0, cx1))
-                    counter += 1
-        if not heap:
-            break
-    return heap[0][0]
+# Relative error allowed per unit of log-term magnitude: a few ulps for each
+# elementary function and each rounding of the sums that combine them.
+_LOG_SLACK = 8.0 * np.finfo(float).eps
 
 
-def density_ratio_floor(level, alphas, grid: int = 256, refine: int | None = None) -> float:
+def _exp_floor(log_values, sizes) -> float:
+    """Certified ``exp`` of the smallest of ``log_values``, rounded down.
+
+    ``sizes[k]`` bounds the magnitudes that went into ``log_values[k]``;
+    the computed log errs by at most ``_LOG_SLACK * sizes[k]`` and is
+    lowered by that much before the minimum.  ``exp`` itself may round up
+    by an ulp, so its result steps one ulp toward zero, except at a log of
+    exactly 0 (built from terms of size 0), whose ``exp`` is exactly 1.
+    """
+    lo = float(np.min(np.asarray(log_values) - _LOG_SLACK * np.asarray(sizes)))
+    return 1.0 if lo == 0.0 else math.nextafter(math.exp(lo), 0.0)
+
+
+def density_ratio_floor(level, alphas) -> float:
     """Certified lower bound of the comparison function
     ``(x - y)**(a - 1) * x**(1 - a - b)`` over ``y in [0, 1/(level+1)]``,
     ``x in [y + 1/(level(level+1)), 1]``, minimized over all ordered
     exponent pairs ``(a, b)`` drawn from ``alphas``.
 
+    With ``u = x - y`` the region is ``delta <= u <= x <= min(1, u + c)``
+    (``c = 1/(n+1)``, ``delta = 1/(n(n+1))``, ``n = level``) and the
+    function is ``(u/x)**(a-1) * x**(-b)``.  For ``a <= 1`` both factors
+    are at least 1, and both equal 1 at ``u = x = 1``: the minimum is 1.
+    For ``a > 1`` the function rises with ``u``, so the minimum lies on
+    the lower boundary ``u = max(delta, x - c)``; along its first piece
+    it is monotone in ``x``, and along the second its only critical point
+    is a maximum.  The minimum is therefore at a vertex, and of the three
+    candidates the two at ``x = 1/n`` and ``x = 1`` can bind:
+    ``((n+1)/n)**(1-a) * min(1, n**(1+b-a))``.
+
     Scanning every ordered pair covers every relabeling of which agents
     are in play at this induction level, so the result is valid (if
     conservative) for all of them.  Scale-free in the good's total.
     """
-    level, a = _check_alphas(level, alphas)
-    if grid < _MIN_GRID:
-        raise ValueError(f"grid must be >= {_MIN_GRID}, got {grid}")
-    if refine is None:
-        refine = 4 * grid
-    best = math.inf
-    seen = set()
-    for i in range(a.size):
-        for j in range(a.size):
-            if i == j or (a[i], a[j]) in seen:
-                continue
-            seen.add((a[i], a[j]))
-            best = min(best, _pair_floor(a[i], a[j], level, grid, refine))
-    return float(best)
+    level, alphas = _check_alphas(level, alphas)
+    a, b = _ordered_pairs(alphas)
+    log_step, log_n = math.log1p(1.0 / level), math.log(level)
+    binds = a > 1.0
+    log_f = (1.0 - a) * log_step + np.minimum(0.0, 1.0 + b - a) * log_n
+    size = (1.0 + a) * log_step + (1.0 + a + b) * log_n
+    return _exp_floor(np.where(binds, log_f, 0.0), np.where(binds, size, 0.0))
 
 
 def gamma_ratio_floor(level, alphas) -> float:
@@ -172,22 +147,29 @@ def gamma_ratio_floor(level, alphas) -> float:
     where ``a`` is one in-play exponent, ``b`` the newly added one, and
     ``s`` the sum over the ``level`` in-play exponents.  The ratio falls
     as ``s`` grows, so for each ordered pair ``(a, b)`` the worst case
-    takes the ``level - 1`` largest remaining exponents into ``s``.
+    takes the ``level - 1`` largest remaining exponents into ``s``: a
+    prefix of the exponents sorted in descending order, lengthened past
+    the ranks of ``a`` and ``b`` where they fall inside it.
     """
-    level, a = _check_alphas(level, alphas)
-    order = np.argsort(a)[::-1]
-    best = math.inf
-    for i in range(a.size):
-        for j in range(a.size):
-            if i == j:
-                continue
-            rest = [k for k in order if k != i and k != j]
-            s = a[i] + a[rest[: level - 1]].sum()
-            log_ratio = (
-                gammaln(a[i] + a[j]) - gammaln(a[i]) + gammaln(s) - gammaln(s + a[j])
-            )
-            best = min(best, float(log_ratio))
-    return math.exp(best)
+    level, alphas = _check_alphas(level, alphas)
+    order = np.argsort(alphas)[::-1]
+    rank = np.empty(alphas.size, dtype=np.intp)
+    rank[order] = np.arange(alphas.size)
+    prefix = np.concatenate(([0.0], np.cumsum(alphas[order])))
+    a, b = _ordered_pairs(alphas)
+    ra, rb = _ordered_pairs(rank)
+    m = level - 1
+    lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+    taken = m + (lo < m) + (hi <= m)  # prefix length once a and b are skipped
+    s = prefix[taken] + np.where(ra < taken, 0.0, a) - np.where(rb < taken, b, 0.0)
+    terms = np.stack([gammaln(a + b), -gammaln(a), gammaln(s), -gammaln(s + b)])
+    # gammaln is accurate to a few ulps of max(|value|, 1).  The rounding of
+    # s, at most (level + 3) ulps of s + b, moves the log by up to
+    # digamma(s + b) - digamma(s) per unit of s.
+    size = (np.abs(terms) + 1.0).sum(axis=0) + (level + 3.0) * (s + b) * (
+        digamma(s + b) - digamma(s)
+    )
+    return _exp_floor(terms.sum(axis=0), size)
 
 
 @dataclass(frozen=True)
@@ -203,9 +185,7 @@ class DoeblinLevel:
     log_coefficient: float
 
 
-def minorization_coefficients(
-    cfg: EconomyConfig, good: int, grid: int = 256
-) -> tuple[DoeblinLevel, ...]:
+def minorization_coefficients(cfg: EconomyConfig, good: int) -> tuple[DoeblinLevel, ...]:
     """The coefficient ladder for one good, from the exact base (two
     agents, coefficient 1) up to the full economy.  The product is
     accumulated in log space; linear coefficients underflow fast."""
@@ -217,7 +197,7 @@ def minorization_coefficients(
     levels = []
     log_c = 0.0
     for n in range(2, cfg.n_agents):
-        dens = density_ratio_floor(n, alphas, grid)
+        dens = density_ratio_floor(n, alphas)
         gam = gamma_ratio_floor(n, alphas)
         levels.append(DoeblinLevel(n, dens, gam, math.exp(log_c), log_c))
         log_c += (
@@ -381,20 +361,18 @@ class DoeblinReport:
     n_goods: int
     total_rate: float
     rate_ratio: float
-    grid: int
     goods: tuple[GoodBound, ...]
     certified_rate: float
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "config_digest": self.config_digest,
             "seed": int(self.seed),
             "n_agents": int(self.n_agents),
             "n_goods": int(self.n_goods),
             "total_rate": float(self.total_rate),
             "rate_ratio": float(self.rate_ratio),
-            "grid": int(self.grid),
             "goods": [
                 {
                     "good": int(gb.good),
@@ -422,12 +400,12 @@ class DoeblinReport:
         }
 
 
-def doeblin_report(cfg: EconomyConfig, grid: int = 256) -> DoeblinReport:
+def doeblin_report(cfg: EconomyConfig) -> DoeblinReport:
     """Compute the full certified report for every good of ``cfg``."""
     require_validated(cfg)
     goods = []
     for g in range(cfg.n_goods):
-        levels = minorization_coefficients(cfg, g, grid)
+        levels = minorization_coefficients(cfg, g)
         coeff = levels[-1].coefficient
         tau_star, rate = optimize_rate(coeff, cfg.total_rate, cfg.n_agents)
         mass = minorization_mass(coeff, cfg.total_rate, cfg.n_agents, tau_star)
@@ -439,7 +417,6 @@ def doeblin_report(cfg: EconomyConfig, grid: int = 256) -> DoeblinReport:
         n_goods=cfg.n_goods,
         total_rate=cfg.total_rate,
         rate_ratio=rate_ratio(cfg),
-        grid=grid,
         goods=tuple(goods),
         certified_rate=min(gb.certified_rate for gb in goods),
     )
@@ -468,7 +445,6 @@ def minorization_check(
     *,
     steps: int | None = None,
     binning: HistogramBinning | None = None,
-    grid: int = 256,
 ) -> MinorizationCheck:
     """Check the coupling consequence of the minorization empirically.
 
@@ -503,7 +479,7 @@ def minorization_check(
     tv = np.empty(m)
     self_tv = np.empty(m)
     for g in range(m):
-        coeffs[g] = minorization_coefficients(cfg, g, grid)[-1].coefficient
+        coeffs[g] = minorization_coefficients(cfg, g)[-1].coefficient
         bng = binning or default_binning(
             n_samples, np.full(cfg.n_agents, cfg.good_totals[g])
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import _MIN_GRID, doeblin_report
+from .bounds import doeblin_report
 from .economy import (
     ConfigError,
     EconomyConfig,
@@ -228,7 +228,7 @@ class RunManifest:
     fmt: str = "both"
     workers: int = 1
     agents: int | None = None
-    grid: int = 256
+    grid: int = 256  # accepted and ignored: the density floor needs no grid
 
 
 def _write_json(path, doc):
@@ -238,7 +238,6 @@ def _write_json(path, doc):
 
 
 def _write_simulate_csv(path, cfg, ens):
-    var_col = {pair: k for k, pair in enumerate(ens.moment_pairs)}
     n, m = cfg.n_agents, cfg.n_goods
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_digest: {config_digest(cfg)}\n")
@@ -256,7 +255,7 @@ def _write_simulate_csv(path, cfg, ens):
                 for g in range(m)
             ]
             row += [
-                repr(float(ens.covariances[t, var_col[((i, g), (i, g))]]))
+                repr(float(ens.variances[t, i, g]))
                 for i in range(n)
                 for g in range(m)
             ]
@@ -264,15 +263,6 @@ def _write_simulate_csv(path, cfg, ens):
 
 
 def _simulate_json(cfg, ens):
-    var_col = {pair: k for k, pair in enumerate(ens.moment_pairs)}
-    n, m = cfg.n_agents, cfg.n_goods
-    variances = [
-        [
-            [float(ens.covariances[t, var_col[((i, g), (i, g))]]) for g in range(m)]
-            for i in range(n)
-        ]
-        for t in range(ens.sample_times.size)
-    ]
     counts = ens.event_counts
     return {
         "schema_version": 1,
@@ -282,7 +272,7 @@ def _simulate_json(cfg, ens):
         "n_trajectories": int(ens.n_trajectories),
         "sample_times": ens.sample_times.tolist(),
         "means": ens.means.tolist(),
-        "variances": variances,
+        "variances": ens.variances.tolist(),
         "event_counts": {
             "mean": float(counts.mean()),
             "min": int(counts.min()),
@@ -315,8 +305,6 @@ def _dispatch(manifest: RunManifest) -> int:
         raise ValidationError(f"unknown format {manifest.fmt!r}", path="format")
     if manifest.command in ("simulate", "verify") and manifest.workers < 1:
         raise ValidationError(f"must be >= 1, got {manifest.workers}", path="workers")
-    if manifest.command == "bound" and manifest.grid < _MIN_GRID:
-        raise ValidationError(f"must be >= {_MIN_GRID}, got {manifest.grid}", path="grid")
     try:
         os.makedirs(manifest.output_dir, exist_ok=True)
     except OSError as err:
@@ -336,7 +324,7 @@ def _dispatch(manifest: RunManifest) -> int:
     cfg, plan = _apply_overrides(manifest, cfg, plan)
 
     if manifest.command == "bound":
-        report = doeblin_report(cfg, manifest.grid)
+        report = doeblin_report(cfg)
         _write_json(os.path.join(out, "doeblin.json"), report.to_json_dict())
         return 0
 
@@ -407,7 +395,10 @@ def main(argv=None) -> int:
 
     bnd = sub.add_parser("bound", help="write the certified rate report")
     common(bnd)
-    bnd.add_argument("--grid", type=int, default=256)
+    bnd.add_argument(
+        "--grid", type=int, default=256,
+        help="ignored: the density floor is exact (kept for old scripts)",
+    )
 
     kac = sub.add_parser("preset-kac", help="write the kinetic-gas preset config")
     kac.add_argument("--agents", type=int, required=True)

@@ -265,35 +265,21 @@ def simulate_trajectory(plan: SimulationPlan, trajectory_index: int) -> Trajecto
 
 @dataclass
 class EnsembleStats:
-    """Cross-trajectory statistics at every sample time.
-
-    ``moment_pairs`` lists which covariance entries were computed, as
-    ((agent, good), (agent, good)) index pairs; ``covariances[t, p]`` is
-    the sample covariance (ddof=1) of pair ``p`` at sample time ``t``.
-    Histogram counts always sum to ``n_trajectories``.
-    """
+    """Cross-trajectory statistics at every sample time: the sample mean
+    and the sample variance (ddof=1) of every holding."""
 
     sample_times: np.ndarray
     n_trajectories: int
     means: np.ndarray             # (T, N, M)
-    moment_pairs: list
-    covariances: np.ndarray       # (T, P)
-    histogram_edges: np.ndarray   # (M, B + 1)
-    histograms: np.ndarray        # (T, N, M, B) int64
+    variances: np.ndarray         # (T, N, M)
     event_counts: np.ndarray      # (n_trajectories,) int64
     plan_digest: str
     samples: np.ndarray | None = None  # (T, n, N, M) when retained
 
 
-def _default_pairs(n, m):
-    return [((i, g), (j, g)) for g in range(m) for i in range(n) for j in range(i, n)]
-
-
 def run_ensemble(
     plan: SimulationPlan,
     *,
-    moment_pairs=None,
-    histogram_bins: int | None = None,
     keep_samples: bool = False,
     workers: int = 1,
 ) -> EnsembleStats:
@@ -332,34 +318,17 @@ def run_ensemble(
             list(pool.map(run_block, range(n_blocks)))
 
     means = raw.mean(axis=1)
-
-    pairs = _default_pairs(*shape) if moment_pairs is None else list(moment_pairs)
-    centered = raw - means[:, None]
-    cov = np.empty((n_times, len(pairs)))
+    # One sample time at a time, so the deviations never take a second
+    # array the size of ``raw``.
+    squares = np.stack([((raw[t] - means[t]) ** 2).sum(axis=0) for t in range(n_times)])
     with np.errstate(invalid="ignore", divide="ignore"):
-        for p, ((i1, m1), (i2, m2)) in enumerate(pairs):
-            cov[:, p] = (centered[:, :, i1, m1] * centered[:, :, i2, m2]).sum(axis=1) / (
-                n_traj - 1
-            )
-
-    bins = histogram_bins or min(64, int(math.ceil(n_traj ** (1.0 / 3.0))))
-    edges = np.empty((cfg.n_goods, bins + 1))
-    hist = np.empty((n_times, cfg.n_agents, cfg.n_goods, bins), dtype=np.int64)
-    for m in range(cfg.n_goods):
-        edges[m] = np.linspace(0.0, cfg.good_totals[m], bins + 1)
-        for t in range(n_times):
-            for i in range(cfg.n_agents):
-                col = np.clip(raw[t, :, i, m], 0.0, cfg.good_totals[m])
-                hist[t, i, m] = np.histogram(col, bins=edges[m])[0]
+        variances = squares / (n_traj - 1)
 
     return EnsembleStats(
         sample_times=plan.sample_times,
         n_trajectories=n_traj,
         means=means,
-        moment_pairs=pairs,
-        covariances=cov,
-        histogram_edges=edges,
-        histograms=hist,
+        variances=variances,
         event_counts=events,
         plan_digest=plan_digest(plan),
         samples=raw if keep_samples else None,

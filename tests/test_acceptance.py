@@ -138,7 +138,7 @@ def test_criterion_4_certified_constants(tmp_path):
     violations = 0
     for level in (2, 3):
         alphas = rng.uniform(0.5, 3.0, size=level + 1)
-        floor = density_ratio_floor(level, alphas, grid=64)
+        floor = density_ratio_floor(level, alphas)
         delta = 1.0 / (level * (level + 1.0))
         y = rng.uniform(0.0, 1.0 / (level + 1.0), size=10_000)
         x = y + delta + rng.random(10_000) * (1.0 - y - delta)

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import json
 import math
@@ -57,10 +58,86 @@ def test_rate_ratio():
 
 # ---------------------------------------------------------------- density floor
 
+def region_vertices(level):
+    """(y, x) corners of the admissible region: y in [0, c],
+    x in [y + delta, 1], c = 1/(level+1), delta = 1/(level(level+1))."""
+    c = 1.0 / (level + 1.0)
+    delta = 1.0 / (level * (level + 1.0))
+    return np.array([0.0, 0.0, c, c]), np.array([delta, 1.0, c + delta, 1.0])
+
+
+def region_points(level, rng, size):
+    c = 1.0 / (level + 1.0)
+    delta = 1.0 / (level * (level + 1.0))
+    y = rng.uniform(0.0, c, size=size)
+    x = y + delta + rng.random(size) * (1.0 - y - delta)
+    return y, x
+
+
+def _grid_cell_floor(a, b, delta, y0, y1, x0, x1):
+    # Lower bound of (x-y)**(a-1) * x**(1-a-b) on [y0,y1] x [x0,x1]
+    # intersected with the wedge {x >= y + delta}.  Both factors are
+    # monotone in their own variable (u = x - y and x respectively), so
+    # the bound is a product of corner values; cells that miss the wedge
+    # contribute +inf.
+    valid = x1 > y0 + delta
+    u_lo = np.maximum(delta, x0 - y1)
+    u_hi = np.maximum(x1 - y0, u_lo)
+    u_at = u_lo if a >= 1.0 else u_hi
+    m1 = np.power(np.where(valid, u_at, 1.0), a - 1.0)
+    x_min = np.maximum(x0, y0 + delta)
+    e2 = 1.0 - a - b
+    x_at = x_min if e2 >= 0.0 else x1
+    m2 = np.power(np.where(valid, x_at, 1.0), e2)
+    return np.where(valid, m1 * m2, np.inf)
+
+
+def grid_pair_floor(a, b, level, grid=64, refine=0):
+    """Oracle: floor of (x-y)**(a-1) * x**(1-a-b) over the region from
+    per-cell corner bounds on a grid x grid mesh, then ``refine`` local
+    bisections of the cell holding the current minimum.  Every cell bound
+    is below the function on its cell, so the oracle never exceeds the
+    true minimum (up to its own rounding), and refining only raises it."""
+    delta = 1.0 / (level * (level + 1.0))
+    ys = np.linspace(0.0, 1.0 / (level + 1.0), grid + 1)
+    xs = np.linspace(delta, 1.0, grid + 1)
+    bounds = _grid_cell_floor(
+        a, b, delta,
+        ys[:-1][:, None], ys[1:][:, None],
+        xs[:-1][None, :], xs[1:][None, :],
+    )
+    if not refine:
+        return float(bounds.min())
+    yi, xi = np.nonzero(np.isfinite(bounds))
+    heap = [
+        (float(bounds[r, c]), k,
+         float(ys[r]), float(ys[r + 1]), float(xs[c]), float(xs[c + 1]))
+        for k, (r, c) in enumerate(zip(yi, xi))
+    ]
+    heapq.heapify(heap)
+    counter = len(heap)
+    for _ in range(refine):
+        _, _, y0, y1, x0, x1 = heapq.heappop(heap)
+        ym, xm = 0.5 * (y0 + y1), 0.5 * (x0 + x1)
+        for cy0, cy1 in ((y0, ym), (ym, y1)):
+            for cx0, cx1 in ((x0, xm), (xm, x1)):
+                v = float(_grid_cell_floor(a, b, delta, cy0, cy1, cx0, cx1))
+                if math.isfinite(v):
+                    heapq.heappush(heap, (v, counter, cy0, cy1, cx0, cx1))
+                    counter += 1
+    return heap[0][0]
+
+
+def grid_density_floor(level, alphas, grid=64, refine=0):
+    """The grid oracle minimized over all ordered exponent pairs."""
+    pairs = set(itertools.permutations(np.asarray(alphas, dtype=float), 2))
+    return min(grid_pair_floor(a, b, level, grid, refine) for a, b in pairs)
+
+
 def test_density_floor_all_ones_is_exactly_one():
     # a = b = 1 makes the comparison function constant 1
     assert density_ratio_floor(2, [1.0, 1.0, 1.0]) == 1.0
-    assert density_ratio_floor(3, np.ones(4), grid=64) == 1.0
+    assert density_ratio_floor(3, np.ones(4)) == 1.0
 
 
 def test_density_floor_kac_is_exactly_one():
@@ -69,15 +146,21 @@ def test_density_floor_kac_is_exactly_one():
     assert density_ratio_floor(2, [0.5, 0.5, 0.5]) == 1.0
 
 
+def test_density_floor_closed_form():
+    # a = 3, b = 1/2 at level 2: min(V(x=1/2), V(x=1)) with
+    # V(x=1) = (3/2)**-2 = 4/9 and V(x=1/2) = 4/9 * 2**(-3/2)
+    floor = density_ratio_floor(2, [3.0, 0.5, 3.0])
+    want = 4.0 / 9.0 * 2.0 ** -1.5
+    assert want * (1.0 - 1e-13) < floor < want
+
+
 def test_density_floor_is_true_lower_bound():
     rng = derived_rng(0, 3, 20)
     for level in (2, 3):
         for _ in range(3):
             alphas = rng.uniform(0.5, 3.0, size=level + 1)
-            floor = density_ratio_floor(level, alphas, grid=64)
-            delta = 1.0 / (level * (level + 1.0))
-            y = rng.uniform(0.0, 1.0 / (level + 1.0), size=10_000)
-            x = y + delta + rng.random(10_000) * (1.0 - y - delta)
+            floor = density_ratio_floor(level, alphas)
+            y, x = region_points(level, rng, 10_000)
             probe = math.inf
             for a, b in itertools.permutations(alphas, 2):
                 probe = min(probe, comparison_fn(a, b, y, x).min())
@@ -86,20 +169,25 @@ def test_density_floor_is_true_lower_bound():
 
 
 def test_density_floor_refinement_is_sandwiched():
+    # grid oracle, coarse and refined, below the exact floor, which sits
+    # just under a dense probe of the true minimum
     alphas = [2.3, 0.7, 1.1]
-    coarse = density_ratio_floor(2, alphas, grid=64, refine=0)
-    tight = density_ratio_floor(2, alphas, grid=64, refine=2000)
-    assert coarse <= tight
-    # dense probe of the exact minimum from above
+    coarse = grid_density_floor(2, alphas, grid=64, refine=0)
+    tight = grid_density_floor(2, alphas, grid=64, refine=2000)
+    exact = density_ratio_floor(2, alphas)
+    assert coarse <= tight <= exact * (1.0 + 1e-12)
     ys = np.linspace(0.0, 1.0 / 3.0, 400)
     xs = np.linspace(1.0 / 6.0, 1.0, 400)
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
     mask = xx >= yy + 1.0 / 6.0
+    yv, xv = region_vertices(2)
+    y, x = np.concatenate([yv, yy[mask]]), np.concatenate([xv, xx[mask]])
     probe = math.inf
     for a, b in itertools.permutations(alphas, 2):
-        probe = min(probe, comparison_fn(a, b, yy[mask], xx[mask]).min())
-    assert tight <= probe * (1.0 + 1e-12)
-    assert tight >= 0.5 * probe  # stays in the same ballpark, not vacuous
+        probe = min(probe, comparison_fn(a, b, y, x).min())
+    assert exact <= probe
+    # the probe includes the minimizing vertex, so the floor is tight
+    assert exact >= probe * (1.0 - 1e-13)
 
 
 def test_density_floor_validation():
@@ -108,9 +196,52 @@ def test_density_floor_validation():
     with pytest.raises(ValueError):
         density_ratio_floor(2, [1.0, 1.0])  # needs level + 1 exponents
     with pytest.raises(ValueError):
-        density_ratio_floor(2, [1.0, 1.0, 1.0], grid=32)
+        density_ratio_floor(2.0, [1.0, 1.0, 1.0])
     with pytest.raises(NonPositiveExponent):
         density_ratio_floor(2, [1.0, -1.0, 1.0])
+
+
+# Exponents that stress the corner choice: near 1 (the a <= 1 switch) and
+# pairs with a + b near 1 (the sign of the x exponent), plus a wide range.
+_NEAR_ONE = st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6, 1e-3])
+exponent = st.one_of(
+    st.floats(0.05, 20.0),
+    st.builds(lambda e, sign: 1.0 + sign * e, _NEAR_ONE, st.sampled_from([-1.0, 1.0])),
+    st.sampled_from([0.5, 1.0, 2.0]),
+)
+
+
+@st.composite
+def floor_inputs(draw, max_level=12, max_extra=3):
+    level = draw(st.integers(2, max_level))
+    size = level + 1 + draw(st.integers(0, max_extra))
+    alphas = draw(st.lists(exponent, min_size=size, max_size=size))
+    if alphas[0] < 1.0 and draw(st.booleans()):
+        alphas[1] = 1.0 - alphas[0] + draw(_NEAR_ONE)  # a + b just above 1
+    return level, np.array(alphas)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=floor_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_density_floor_below_vertices_and_points(inputs, seed):
+    level, alphas = inputs
+    floor = density_ratio_floor(level, alphas)
+    yv, xv = region_vertices(level)
+    y, x = region_points(level, np.random.default_rng(seed), 256)
+    y, x = np.concatenate([yv, y]), np.concatenate([xv, x])
+    for a, b in itertools.permutations(alphas, 2):
+        assert floor <= comparison_fn(a, b, y, x).min()
+    if alphas.max() <= 1.0:
+        assert floor == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=floor_inputs(max_level=8, max_extra=1))
+def test_grid_oracle_below_density_floor(inputs):
+    level, alphas = inputs
+    oracle = grid_density_floor(level, alphas, grid=64)
+    # the oracle carries no rounding margin of its own
+    assert oracle <= density_ratio_floor(level, alphas) * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------- gamma floor
@@ -132,6 +263,10 @@ def test_gamma_floor_permutation_invariant():
         assert gamma_ratio_floor(3, list(perm)) == base
 
 
+def log_gamma_ratio(a, b, s):
+    return math.lgamma(a + b) - math.lgamma(a) + math.lgamma(s) - math.lgamma(s + b)
+
+
 def brute_force_gamma_floor(level, alphas):
     # Independent route: minimize the ratio over every ordered (a, b)
     # choice and every admissible set of in-play exponents.
@@ -143,14 +278,24 @@ def brute_force_gamma_floor(level, alphas):
                 continue
             rest = [k for k in range(a.size) if k not in (i, j)]
             for sub in itertools.combinations(rest, level - 1):
-                s = a[i] + a[list(sub)].sum()
-                val = (
-                    math.lgamma(a[i] + a[j])
-                    - math.lgamma(a[i])
-                    + math.lgamma(s)
-                    - math.lgamma(s + a[j])
-                )
-                best = min(best, val)
+                s = math.fsum([a[i], *a[list(sub)]])
+                best = min(best, log_gamma_ratio(a[i], a[j], s))
+    return math.exp(best)
+
+
+def loop_gamma_floor(level, alphas):
+    # Pair-by-pair route: for each ordered (a, b), the level - 1 largest
+    # remaining exponents join a in s.
+    a = np.asarray(alphas, dtype=float)
+    order = np.argsort(a)[::-1]
+    best = math.inf
+    for i in range(a.size):
+        for j in range(a.size):
+            if i == j:
+                continue
+            rest = [k for k in order if k != i and k != j]
+            s = a[i] + a[rest[: level - 1]].sum()
+            best = min(best, log_gamma_ratio(a[i], a[j], s))
     return math.exp(best)
 
 
@@ -161,6 +306,26 @@ def test_gamma_floor_matches_brute_force():
         fast = gamma_ratio_floor(level, alphas)
         slow = brute_force_gamma_floor(level, alphas)
         assert math.isclose(fast, slow, rel_tol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=floor_inputs(max_level=5, max_extra=1))
+def test_gamma_floor_below_every_relabeling(inputs):
+    level, alphas = inputs
+    floor = gamma_ratio_floor(level, alphas)
+    assert floor <= brute_force_gamma_floor(level, alphas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=floor_inputs(max_level=20, max_extra=4))
+def test_gamma_floor_matches_pairwise_loop(inputs):
+    # the rounding margin grows with the size of the log-Gamma terms, so
+    # the 1e-12 match holds for exponents of moderate size
+    level, alphas = inputs
+    alphas = np.minimum(alphas, 5.0)
+    fast = gamma_ratio_floor(level, alphas)
+    slow = loop_gamma_floor(level, alphas)
+    assert slow * (1.0 - 1e-12) <= fast <= slow
 
 
 def test_gamma_floor_below_one():
@@ -195,7 +360,7 @@ def test_coefficient_kac_three_agents_oracle():
 
 
 def test_coefficients_strictly_decreasing():
-    levels = minorization_coefficients(uniform_config(5), 0, grid=64)
+    levels = minorization_coefficients(uniform_config(5), 0)
     cs = [lv.coefficient for lv in levels]
     assert all(b < a for a, b in zip(cs, cs[1:]))
     assert [lv.n for lv in levels] == [2, 3, 4, 5]
@@ -373,12 +538,39 @@ def test_doeblin_report_min_over_goods():
 
 def test_doeblin_report_json_matches_schema():
     jsonschema = pytest.importorskip("jsonschema")
-    rep = doeblin_report(uniform_config(4), grid=64)
+    rep = doeblin_report(uniform_config(4))
     payload = rep.to_json_dict()
     schema = json.loads((SCHEMA_DIR / "doeblin_report.schema.json").read_text())
     jsonschema.validate(payload, schema)
+    assert payload["schema_version"] == 2 and "grid" not in payload
     assert payload["goods"][0]["levels"][-1]["density_floor"] is None
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_doeblin_report_twenty_distinct_agents():
+    # every floor of an N = 20 ladder with distinct exponents (minutes with
+    # the former grid search) sits just under a probe that includes the
+    # minimizing vertices and relabelings
+    n = 20
+    alphas = derived_rng(0, 3, 23).uniform(0.3, 3.0, size=n)
+    cfg = make_config(
+        rates=np.ones((n, n)) - np.eye(n),
+        exponents=alphas[:, None],
+        endowments=np.full((n, 1), 1.0 / n),
+    )
+    rep = doeblin_report(cfg)
+    rng = derived_rng(0, 3, 24)
+    for lv in rep.goods[0].levels[:-1]:
+        yv, xv = region_vertices(lv.n)
+        y, x = region_points(lv.n, rng, 500)
+        y, x = np.concatenate([yv, y]), np.concatenate([xv, x])
+        probe = min(
+            comparison_fn(a, b, y, x).min() for a, b in itertools.permutations(alphas, 2)
+        )
+        assert probe * (1.0 - 1e-12) <= lv.density_floor <= probe
+        slow = loop_gamma_floor(lv.n, alphas)
+        assert slow * (1.0 - 1e-12) <= lv.gamma_floor <= slow
+    assert 0.0 < rep.certified_rate < cfg.total_rate
 
 
 # ---------------------------------------------------------------- empirical check

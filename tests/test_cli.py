@@ -257,12 +257,16 @@ def test_run_bound_oracle(tmp_path):
     doc["economy"]["exponents"] = [[1.0]] * 3  # unit exponents: known constant
     cfg_path = write_doc(tmp_path, doc)
     out = tmp_path / "o"
-    assert run(RunManifest("bound", str(out), config_path=cfg_path, grid=64)) == 0
+    assert run(RunManifest("bound", str(out), config_path=cfg_path)) == 0
     payload = json.loads((out / "doeblin.json").read_text())
     coeff = payload["goods"][0]["levels"][-1]["coefficient"]
     assert abs(coeff - 1.0 / 18.0) < 1e-12
     assert payload["certified_rate"] > 0.0
-    assert payload["grid"] == 64
+    assert payload["schema_version"] == 2 and "grid" not in payload
+    # --grid is accepted and changes nothing
+    again = tmp_path / "again"
+    assert run(RunManifest("bound", str(again), config_path=cfg_path, grid=10)) == 0
+    assert (again / "doeblin.json").read_bytes() == (out / "doeblin.json").read_bytes()
 
 
 def test_run_exit_codes(tmp_path, monkeypatch, capsys):
@@ -289,8 +293,6 @@ def test_run_exit_codes(tmp_path, monkeypatch, capsys):
     for command in ("simulate", "verify"):
         assert run(RunManifest(command, out, config_path=good, workers=0)) == 1
         assert "workers" in capsys.readouterr().err
-    assert run(RunManifest("bound", out, config_path=good, grid=10)) == 1
-    assert "grid" in capsys.readouterr().err
 
     def boom(*a, **k):
         raise RuntimeError("backend fell over")
