@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -29,7 +30,7 @@ from .economy import (
     validate_config,
 )
 from .simulate import SimulationPlan, run_ensemble, validate_plan
-from .stats import convergence_report
+from .stats import _MIN_KS_SAMPLES, convergence_report
 
 __all__ = [
     "ParseError",
@@ -231,9 +232,21 @@ class RunManifest:
     grid: int = 256  # accepted and ignored: the density floor needs no grid
 
 
+def _strict(obj):
+    """``obj`` with every non-finite float replaced by None, so that it
+    serializes as strict JSON (``null``, never ``NaN`` or ``Infinity``)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _write_json(path, doc):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_strict(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -342,6 +355,13 @@ def _dispatch(manifest: RunManifest) -> int:
             _write_json(os.path.join(out, "simulate.json"), _simulate_json(cfg, ens))
         return 0
 
+    if plan.n_trajectories < _MIN_KS_SAMPLES:
+        raise ValidationError(
+            f"verify needs at least {_MIN_KS_SAMPLES} trajectories, "
+            f"got {plan.n_trajectories}",
+            path="trajectories" if manifest.n_trajectories is not None
+            else "simulation.n_trajectories",
+        )
     ens = run_ensemble(plan, keep_samples=True, workers=manifest.workers)
     report = convergence_report(ens, cfg)
     if manifest.fmt in ("csv", "both"):

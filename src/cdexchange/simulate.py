@@ -16,6 +16,7 @@ step without the clock.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -110,10 +111,20 @@ class AliasTable:
 
 
 def _pair_table(cfg: EconomyConfig):
-    """Alias table plus (i, j) lookup arrays over upper-triangle pairs."""
-    n = cfg.n_agents
+    """Alias table plus (i, j) lookup arrays over upper-triangle pairs,
+    built once per rate matrix."""
+    return _pair_table_for(cfg.n_agents, np.asarray(cfg.rates, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_table_for(n: int, rate_bytes: bytes):
+    rates = np.frombuffer(rate_bytes).reshape(n, n)
     iu, ju = np.triu_indices(n, 1)
-    return AliasTable(cfg.rates[iu, ju]), iu, ju
+    table = AliasTable(rates[iu, ju])
+    # Shared by every caller with the same rates: keep it read-only.
+    for a in (table.prob, table.alias, iu, ju):
+        a.setflags(write=False)
+    return table, iu, ju
 
 
 @dataclass(frozen=True, eq=False)

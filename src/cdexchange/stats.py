@@ -7,6 +7,14 @@ Three instruments, all aimed at the product-Dirichlet target:
 * a binned total-variation estimate against a fresh stationary sample,
   which is a consistent estimator of TV over the binned algebra and
   therefore a lower bound on the true total variation.
+
+:func:`convergence_report` works through the sample times in order and
+keeps the Beta CDF value of every holding from one time to the next:
+``betainc`` runs again only on the holdings that changed since the
+previous sample time (most trajectories see no event between two close
+sample times).  Each value is the same elementwise computation that a
+plain :func:`marginal_ks` call makes, so the KS results are unchanged to
+the bit.
 """
 
 from __future__ import annotations
@@ -84,10 +92,22 @@ def dirichlet_moments(spec: DirichletSpec):
     return mean, cov
 
 
-def marginal_ks(samples, alpha_i: float, exponent_sum: float, total: float) -> KsResult:
+def _beta_cdf(alpha, beta, x, total):
+    """CDF of ``total * Beta(alpha, beta)`` at ``x``, elementwise."""
+    return betainc(alpha, beta, np.clip(x / total, 0.0, 1.0))
+
+
+def marginal_ks(
+    samples, alpha_i: float, exponent_sum: float, total: float, *, cdf=None
+) -> KsResult:
     """Two-sided KS statistic of ``samples`` against the stationary
     marginal of one coordinate, ``total * Beta(alpha_i, exponent_sum -
-    alpha_i)``, with the asymptotic Kolmogorov p-value."""
+    alpha_i)``, with the asymptotic Kolmogorov p-value.
+
+    ``cdf``, if given, holds that marginal's CDF at each sample, in
+    sample order: a caller that already has these values passes them to
+    skip ``betainc``.  By default they are computed here.
+    """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise EmptySample("no samples")
@@ -104,9 +124,16 @@ def marginal_ks(samples, alpha_i: float, exponent_sum: float, total: float) -> K
         )
     if np.any(x < -1e-12 * total) or np.any(x > total * (1.0 + 1e-12)):
         raise ValueError("samples fall outside [0, total]")
+    if cdf is None:
+        cdf = _beta_cdf(alpha_i, b, x, total)
+    else:
+        cdf = np.asarray(cdf, dtype=float).ravel()
+        if cdf.shape != x.shape:
+            raise ValueError("cdf must hold one value per sample")
+    # Tied samples have bit-identical CDF values, so the order among them
+    # does not matter.
+    cdf = cdf[np.argsort(x)]
     n = x.size
-    u = np.clip(np.sort(x) / total, 0.0, 1.0)
-    cdf = betainc(alpha_i, b, u)
     grid = np.arange(n + 1) / n
     stat = float(max((grid[1:] - cdf).max(), (cdf - grid[:-1]).max()))
     return KsResult(stat, float(kolmogorov(math.sqrt(n) * stat)))
@@ -210,6 +237,10 @@ def binned_tv(samples_a, samples_b, binning: HistogramBinning) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
+def _z(diff, se):
+    return np.where(se > 0.0, diff / se, np.where(diff == 0.0, 0.0, np.inf))
+
+
 def moment_z_scores(points, spec: DirichletSpec) -> np.ndarray:
     """Standardized discrepancies of sample first/second moments from the
     stationary targets.  Entries: N means, N variances, N(N-1)/2
@@ -221,27 +252,35 @@ def moment_z_scores(points, spec: DirichletSpec) -> np.ndarray:
     if n < 2:
         raise TooFewSamples("need at least two points for moment z-scores")
     t_mean, t_cov = dirichlet_moments(spec)
-    c = x - x.mean(axis=0)
-    zs = []
+    # One row per coordinate, so that every reduction runs over a
+    # contiguous row and sums exactly as it would over that one column.
+    xt = np.ascontiguousarray(x.T)
+    ct = np.ascontiguousarray((x - x.mean(axis=0)).T)
+    iu, ju = np.triu_indices(d, 1)
+    cov_diff = np.empty(iu.size)
+    cov_se = np.empty(iu.size)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for i in range(d):
-            se = c[:, i].std(ddof=1) / math.sqrt(n)
-            diff = x[:, i].mean() - t_mean[i]
-            zs.append(diff / se if se > 0.0 else (0.0 if diff == 0.0 else math.inf))
-        for i in range(d):
-            v = (c[:, i] ** 2).sum() / (n - 1)
-            m4 = (c[:, i] ** 4).mean()
-            se = math.sqrt(max(m4 - v * v, 0.0) / n)
-            diff = v - t_cov[i, i]
-            zs.append(diff / se if se > 0.0 else (0.0 if diff == 0.0 else math.inf))
-        for i in range(d):
-            for j in range(i + 1, d):
-                cv = (c[:, i] * c[:, j]).sum() / (n - 1)
-                m22 = ((c[:, i] * c[:, j]) ** 2).mean()
-                se = math.sqrt(max(m22 - cv * cv, 0.0) / n)
-                diff = cv - t_cov[i, j]
-                zs.append(diff / se if se > 0.0 else (0.0 if diff == 0.0 else math.inf))
-    return np.asarray(zs)
+        mean_diff = xt.mean(axis=1) - t_mean
+        mean_se = ct.std(axis=1, ddof=1) / math.sqrt(n)
+        sq = ct**2
+        v = sq.sum(axis=1) / (n - 1)
+        # (c^2)^2, not c**4: numpy's power is 10-20x slower on negative
+        # bases, and the two differ by at most an ulp or so.
+        m4 = (sq * sq).mean(axis=1)
+        var_se = np.sqrt(np.maximum(m4 - v * v, 0.0) / n)
+        # At most d pairs at a time: the products never outgrow the points.
+        for lo in range(0, iu.size, d):
+            i, j = iu[lo:lo + d], ju[lo:lo + d]
+            p = ct[i] * ct[j]
+            cv = p.sum(axis=1) / (n - 1)
+            m22 = (p**2).mean(axis=1)
+            cov_se[lo:lo + d] = np.sqrt(np.maximum(m22 - cv * cv, 0.0) / n)
+            cov_diff[lo:lo + d] = cv - t_cov[i, j]
+        return np.concatenate([
+            _z(mean_diff, mean_se),
+            _z(v - np.diag(t_cov), var_se),
+            _z(cov_diff, cov_se),
+        ])
 
 
 @dataclass
@@ -338,17 +377,25 @@ def convergence_report(
     modes = []
 
     for g in range(m):
-        b = binning or default_binning(n_samples, np.full(n, specs[g].total))
+        spec = specs[g]
+        b = binning or default_binning(n_samples, np.full(n, spec.total))
         bins_used[g] = b.bins
         modes.append(b.mode)
+        betas = spec.exponent_sum - spec.alphas
+        # Marginal CDF of every holding of good g, one row per agent,
+        # carried from each sample time to the next.
+        cdf = np.empty((n, n_samples))
         for t in range(t_cnt):
             pts = raw[t, :, :, g]
             ref_rng = derived_rng(cfg.seed, _NS_REFERENCE, t, g)
-            ref = sample_dirichlet(specs[g], ref_rng, size=n_samples)
+            ref = sample_dirichlet(spec, ref_rng, size=n_samples)
             tv[t, g] = binned_tv(pts, ref, b)
             for i in range(n):
+                x = pts[:, i]
+                redo = np.flatnonzero(x != raw[t - 1, :, i, g]) if t else slice(None)
+                cdf[i, redo] = _beta_cdf(spec.alphas[i], betas[i], x[redo], spec.total)
                 res = marginal_ks(
-                    pts[:, i], specs[g].alphas[i], specs[g].exponent_sum, specs[g].total
+                    x, spec.alphas[i], spec.exponent_sum, spec.total, cdf=cdf[i]
                 )
                 ks_stat[t, i, g] = res.statistic
                 ks_p[t, i, g] = res.pvalue

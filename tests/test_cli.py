@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +253,40 @@ def test_run_verify_flags_frozen_start(tmp_path):
     assert payload["tv"][0][0] > 0.8
 
 
+def _strict_load(path):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_run_writes_strict_json(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    # one trajectory: every sample variance is 0/0
+    sim = tmp_path / "sim"
+    cfg_path = write_doc(tmp_path, minimal_doc())
+    assert run(RunManifest("simulate", str(sim), config_path=cfg_path,
+                           n_trajectories=1, fmt="json")) == 0
+    doc = _strict_load(sim / "simulate.json")
+    assert doc["variances"][0] == [[None], [None]]
+
+    # the README quickstart's verify: the endowment start is a point mass,
+    # so the moment z-score at t=0 is infinite
+    kac = tmp_path / "kac"
+    assert main(["preset-kac", "--agents", "5", "--out", str(kac)]) == 0
+    cfg = str(kac / "kac_config.json")
+    assert main(["verify", "--config", cfg, "--out", str(kac),
+                 "--trajectories", "200"]) == 0
+    doc = _strict_load(kac / "convergence.json")
+    assert doc["max_moment_z"][0] is None
+    assert all(math.isfinite(z) for z in doc["max_moment_z"][1:])
+    schema = json.loads(
+        (Path(__file__).resolve().parents[1] / "schemas"
+         / "convergence_report.schema.json").read_text()
+    )
+    jsonschema.validate(doc, schema)
+
+
 def test_run_bound_oracle(tmp_path):
     doc = kac_preset(3)
     doc["economy"]["exponents"] = [[1.0]] * 3  # unit exponents: known constant
@@ -300,6 +335,16 @@ def test_run_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_ensemble", boom)
     assert run(RunManifest("simulate", out, config_path=good)) == 2
     assert "backend fell over" in capsys.readouterr().err
+
+    # too few trajectories for the KS p-value: refused before simulating
+    assert run(RunManifest("verify", out, config_path=good, n_trajectories=10)) == 1
+    assert "trajectories" in capsys.readouterr().err
+    few = minimal_doc()
+    few["simulation"]["n_trajectories"] = 34
+    assert run(
+        RunManifest("verify", out, config_path=write_doc(tmp_path, few, "few.json"))
+    ) == 1
+    assert "simulation.n_trajectories" in capsys.readouterr().err
 
 
 def test_run_rejects_unknown_command_and_format(tmp_path):

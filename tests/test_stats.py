@@ -31,7 +31,8 @@ from cdexchange import (
     validate_plan,
 )
 
-from util import uniform_config
+from cdexchange.simulate import _BLOCK
+from util import make_config, uniform_config
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -119,6 +120,20 @@ def test_marginal_ks_scaled_total():
     rng = derived_rng(8, 3, 4)
     x = 3.0 * rng.beta(2.0, 1.0, size=20_000)
     assert marginal_ks(x, 2.0, 3.0, 3.0).pvalue > 0.01
+
+
+def test_marginal_ks_given_cdf_matches_on_ties():
+    # 600 samples on 25 distinct values: every value is tied many times
+    rng = derived_rng(9, 3, 5)
+    levels = 2.0 * rng.beta(1.5, 2.5, size=25)
+    x = rng.choice(levels, size=600)
+    cdf = betainc(1.5, 2.5, np.clip(x / 2.0, 0.0, 1.0))
+    plain = marginal_ks(x, 1.5, 4.0, 2.0)
+    given = marginal_ks(x, 1.5, 4.0, 2.0, cdf=cdf)
+    assert given.statistic == plain.statistic
+    assert given.pvalue == plain.pvalue
+    with pytest.raises(ValueError):
+        marginal_ks(x, 1.5, 4.0, 2.0, cdf=cdf[:-1])
 
 
 def test_marginal_ks_errors():
@@ -241,6 +256,58 @@ def test_default_binning_rules():
 
 # ---------------------------------------------------------------- z-scores
 
+def _loop_moment_z_scores(points, spec):
+    """The coordinate-by-coordinate z-scores, kept as an oracle for the
+    vectorized ``moment_z_scores``."""
+    x = np.asarray(points, dtype=float)
+    n, d = x.shape
+    t_mean, t_cov = dirichlet_moments(spec)
+    c = x - x.mean(axis=0)
+    zs = []
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(d):
+            se = c[:, i].std(ddof=1) / math.sqrt(n)
+            diff = x[:, i].mean() - t_mean[i]
+            zs.append(diff / se if se > 0.0 else (0.0 if diff == 0.0 else math.inf))
+        for i in range(d):
+            v = (c[:, i] ** 2).sum() / (n - 1)
+            m4 = (c[:, i] ** 4).mean()
+            se = math.sqrt(max(m4 - v * v, 0.0) / n)
+            diff = v - t_cov[i, i]
+            zs.append(diff / se if se > 0.0 else (0.0 if diff == 0.0 else math.inf))
+        for i in range(d):
+            for j in range(i + 1, d):
+                cv = (c[:, i] * c[:, j]).sum() / (n - 1)
+                m22 = ((c[:, i] * c[:, j]) ** 2).mean()
+                se = math.sqrt(max(m22 - cv * cv, 0.0) / n)
+                diff = cv - t_cov[i, j]
+                zs.append(diff / se if se > 0.0 else (0.0 if diff == 0.0 else math.inf))
+    return np.asarray(zs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 7),
+    n=st.sampled_from([2, 3, 50, 1000, 9000]),
+    seed=st.integers(0, 2**32 - 1),
+    frozen=st.integers(0, 3),
+)
+def test_moment_z_scores_match_loop_oracle(d, n, seed, frozen):
+    rng = np.random.default_rng(seed)
+    spec = DirichletSpec(rng.uniform(0.3, 3.0, d), float(rng.uniform(0.5, 4.0)))
+    pts = sample_dirichlet(spec, rng, size=n)
+    # constant coordinates take the zero-SE branch
+    pts[:, :frozen] = spec.total / d
+    z = moment_z_scores(pts, spec)
+    ref = _loop_moment_z_scores(pts, spec)
+    assert z.shape == ref.shape == (d + d + d * (d - 1) // 2,)
+    # means and covariances are the same arithmetic; the variance SE uses
+    # (c^2)^2 where the loop took c**4, which may differ in the last bits
+    assert np.array_equal(z[:d], ref[:d])
+    assert np.array_equal(z[2 * d:], ref[2 * d:])
+    np.testing.assert_allclose(z[d:2 * d], ref[d:2 * d], rtol=1e-12, atol=0)
+
+
 def test_moment_z_scores_shape_and_shift():
     spec = DirichletSpec(np.ones(3), 1.0)
     pts = sample_dirichlet(spec, derived_rng(13, 3, 9), size=50_000)
@@ -295,6 +362,36 @@ def test_convergence_report_flags_point_mass():
     assert rep.ks_pvalue[0].max() < 1e-6
     assert rep.max_moment_z[0] > 10.0
     assert rep.tv[1, 0] < rep.tv[0, 0]  # later snapshot has moved toward it
+
+
+@pytest.mark.parametrize(
+    "initial_state, n_traj",
+    [("equilibrium", 300), ("endowments", 300), ("equilibrium", _BLOCK + 60)],
+)
+def test_convergence_report_ks_matches_plain_marginal_ks(initial_state, n_traj):
+    # close sample times: most holdings do not change between two of them,
+    # so the report reuses most CDF values; an endowment start ties every
+    # value at t=0
+    cfg = make_config(
+        rates=[[0.0, 1.0, 0.5], [1.0, 0.0, 2.0], [0.5, 2.0, 0.0]],
+        exponents=[[0.6, 1.4], [1.1, 0.8], [2.3, 1.0]],
+        endowments=[[0.2, 1.5], [0.5, 0.5], [0.3, 1.0]],
+        seed=17,
+    )
+    times = np.array([0.0, 0.02, 0.05, 0.05, 0.3, 1.0])
+    ens = run_ensemble(
+        validate_plan(SimulationPlan(cfg, 1.0, times, n_traj, initial_state)),
+        keep_samples=True,
+    )
+    rep = convergence_report(ens, cfg, baseline_replicates=2)
+    for g in range(cfg.n_goods):
+        spec = good_spec(cfg, g)
+        for t in range(times.size):
+            for i in range(cfg.n_agents):
+                res = marginal_ks(ens.samples[t, :, i, g], spec.alphas[i],
+                                  spec.exponent_sum, spec.total)
+                assert rep.ks_statistic[t, i, g] == res.statistic
+                assert rep.ks_pvalue[t, i, g] == res.pvalue
 
 
 def test_convergence_report_needs_samples():
