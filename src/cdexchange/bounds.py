@@ -24,6 +24,10 @@ floors are computed in log space and rounded down there by a margin
 proportional to the magnitude of the log terms, which covers the
 rounding of every elementary function and sum; an exact floor (1 for
 the density floor when no exponent exceeds 1) stays exact.
+
+``scipy.special`` (``gammaln``, ``digamma``, ``gammainc``, ``gammaincc``)
+is imported inside the functions that call it, so only ``bound`` pays
+for loading scipy, on its first call; importing this module does not.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammainc, gammaincc, gammaln
 
 from .economy import (
     EconomyConfig,
@@ -151,6 +154,8 @@ def gamma_ratio_floor(level, alphas) -> float:
     prefix of the exponents sorted in descending order, lengthened past
     the ranks of ``a`` and ``b`` where they fall inside it.
     """
+    from scipy.special import digamma, gammaln
+
     level, alphas = _check_alphas(level, alphas)
     order = np.argsort(alphas)[::-1]
     rank = np.empty(alphas.size, dtype=np.intp)
@@ -217,6 +222,8 @@ def _poisson_split(k: int, lam: float):
     P[X >= k] = P(k, lam); the head switches to direct summation where
     the complementary route would cancel.
     """
+    from scipy.special import gammainc, gammaincc
+
     if k <= 0:
         return 0.0, 1.0
     if lam <= 0.0:

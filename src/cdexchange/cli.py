@@ -29,7 +29,7 @@ from .economy import (
     config_digest,
     validate_config,
 )
-from .simulate import SimulationPlan, run_ensemble, validate_plan
+from .simulate import _BLOCK, SimulationPlan, run_ensemble, validate_plan
 from .stats import _MIN_KS_SAMPLES, convergence_report
 
 __all__ = [
@@ -59,6 +59,13 @@ class ValidationError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
 
+
+# Inputs over these limits are refused with exit code 1 before any work:
+# runs that could not finish in reasonable time or memory, and presets
+# whose N x N rate matrix would be a huge nested list.
+_MAX_EVENTS = 1e9
+_MAX_SAMPLE_BYTES = 2 * 2**30
+_MAX_PRESET_AGENTS = 1000
 
 _TOP_KEYS = {"economy", "simulation"}
 _ECON_KEYS = {"n_agents", "n_goods", "rates", "exponents", "endowments", "seed"}
@@ -195,6 +202,10 @@ def kac_preset(n_agents: int, seed: int = 0) -> dict:
     exponent 1/2, uniform unit rates, equal endowments summing to 1."""
     if not isinstance(n_agents, int) or n_agents < 2:
         raise ValidationError("must be an integer >= 2", path="agents")
+    if n_agents > _MAX_PRESET_AGENTS:
+        raise ValidationError(
+            f"must be at most {_MAX_PRESET_AGENTS}, got {n_agents}", path="agents"
+        )
     rates = [
         [0.0 if i == j else 1.0 for j in range(n_agents)] for i in range(n_agents)
     ]
@@ -311,6 +322,32 @@ def _apply_overrides(manifest, cfg, plan):
     return cfg, plan
 
 
+def _preflight(plan):
+    """Refuse a plan whose expected event count or retained sample array
+    exceeds its limit, before any of it runs."""
+    cfg = plan.cfg
+    # every block simulates all _BLOCK rows, however few of them are kept
+    rows = -(-plan.n_trajectories // _BLOCK) * _BLOCK
+    events = cfg.total_rate * plan.t_end * rows
+    if not events <= _MAX_EVENTS:
+        raise ValidationError(
+            f"expected {events:.3g} events (total rate x t_end x {rows} "
+            f"simulated trajectories), over the limit of {_MAX_EVENTS:.3g}",
+            path="simulation",
+        )
+    nbytes = (
+        plan.sample_times.size * plan.n_trajectories
+        * cfg.n_agents * cfg.n_goods * 8
+    )
+    if nbytes > _MAX_SAMPLE_BYTES:
+        raise ValidationError(
+            f"the sample array would take {nbytes / 2**30:.3g} GiB "
+            f"(times x trajectories x agents x goods x 8 bytes), over the "
+            f"limit of {_MAX_SAMPLE_BYTES / 2**30:.3g} GiB",
+            path="simulation",
+        )
+
+
 def _dispatch(manifest: RunManifest) -> int:
     if manifest.command not in ("simulate", "verify", "bound", "preset-kac"):
         raise ValidationError(f"unknown command {manifest.command!r}", path="command")
@@ -346,6 +383,7 @@ def _dispatch(manifest: RunManifest) -> int:
             f"{manifest.command} needs a 'simulation' section in the config",
             path="simulation",
         )
+    _preflight(plan)
 
     if manifest.command == "simulate":
         ens = run_ensemble(plan, workers=manifest.workers)
@@ -386,8 +424,18 @@ def run(manifest: RunManifest) -> int:
         return 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors with exit code 1, like every other user error
+    (argparse's own code is 2, which this CLI keeps for runtime failures).
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cdexchange",
         description="Simulate the exchange economy, verify its stationary "
         "law, and compute certified convergence rates.",

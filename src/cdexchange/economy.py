@@ -9,6 +9,9 @@ scaled simplex ``{g >= 0 : sum(g) = G}``, and the stationary law of the
 whole process is a product of Dirichlet distributions, one per good.
 
 Everything stochastic takes an explicit ``numpy.random.Generator``.
+This module needs numpy only: the Dirichlet normalizer uses
+``math.lgamma``, so importing the package, validating a config and
+simulating never load scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "ConfigError",
@@ -290,7 +292,11 @@ class DirichletSpec:
         if not math.isfinite(total) or total <= 0.0:
             raise ZeroTotalGood("total must be positive")
         s = float(a.sum())
-        log_norm = float(gammaln(a).sum() - gammaln(s) + s * math.log(total))
+        log_norm = (
+            math.fsum(map(math.lgamma, a.tolist()))
+            - math.lgamma(s)
+            + s * math.log(total)
+        )
         object.__setattr__(self, "alphas", _frozen(a))
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "exponent_sum", s)

@@ -15,6 +15,10 @@ previous sample time (most trajectories see no event between two close
 sample times).  Each value is the same elementwise computation that a
 plain :func:`marginal_ks` call makes, so the KS results are unchanged to
 the bit.
+
+``scipy.special`` (``betainc``, ``kolmogorov``) is imported inside the
+functions that call it, so only ``verify`` pays for loading scipy, on its
+first call; importing this module does not.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, kolmogorov
 
 from .economy import (
     DirichletSpec,
@@ -94,6 +97,8 @@ def dirichlet_moments(spec: DirichletSpec):
 
 def _beta_cdf(alpha, beta, x, total):
     """CDF of ``total * Beta(alpha, beta)`` at ``x``, elementwise."""
+    from scipy.special import betainc
+
     return betainc(alpha, beta, np.clip(x / total, 0.0, 1.0))
 
 
@@ -108,6 +113,8 @@ def marginal_ks(
     sample order: a caller that already has these values passes them to
     skip ``betainc``.  By default they are computed here.
     """
+    from scipy.special import kolmogorov
+
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise EmptySample("no samples")

@@ -172,6 +172,8 @@ def test_kac_preset_validation():
         kac_preset(1)
     with pytest.raises(ValidationError):
         kac_preset("four")
+    with pytest.raises(ValidationError):
+        kac_preset(cli._MAX_PRESET_AGENTS + 1)
 
 
 # ---------------------------------------------------------------- commands
@@ -346,6 +348,39 @@ def test_run_exit_codes(tmp_path, monkeypatch, capsys):
     ) == 1
     assert "simulation.n_trajectories" in capsys.readouterr().err
 
+    # preflight: runs over the event or memory limit are refused before
+    # simulating (run_ensemble still raises here, so a run that started
+    # would exit 2, not 1)
+    kac = tmp_path / "kac"
+    assert run(RunManifest("preset-kac", str(kac), agents=4)) == 0
+    kac_cfg = str(kac / "kac_config.json")
+    for command, n in (("simulate", 1), ("verify", 100)):
+        assert run(RunManifest(command, out, config_path=kac_cfg,
+                               t_end=1e300, n_trajectories=n)) == 1
+        assert "events" in capsys.readouterr().err
+        assert run(RunManifest(command, out, config_path=kac_cfg,
+                               n_trajectories=10**8)) == 1
+        assert "events" in capsys.readouterr().err
+    # one trajectory still runs a whole block: the estimate counts it
+    rows = cli._BLOCK
+    t_end = 2.0 * cli._MAX_EVENTS / (6.0 * rows)  # Kac N=4: total rate 6
+    assert run(RunManifest("simulate", out, config_path=kac_cfg,
+                           t_end=t_end, n_trajectories=1)) == 1
+    assert f"x {rows} simulated" in capsys.readouterr().err
+    # few events but a sample array over the byte limit
+    wide = minimal_doc()
+    wide["simulation"]["t_end"] = 1e-9
+    wide["simulation"]["sample_times"] = [0.0] * 3000
+    wide["simulation"]["n_trajectories"] = 200_000
+    wide_cfg = write_doc(tmp_path, wide, "wide.json")
+    for command in ("simulate", "verify"):
+        assert run(RunManifest(command, out, config_path=wide_cfg)) == 1
+        assert "GiB" in capsys.readouterr().err
+    # preset-kac caps the agents before building the rate matrix
+    assert run(RunManifest("preset-kac", out,
+                           agents=cli._MAX_PRESET_AGENTS + 1)) == 1
+    assert "agents" in capsys.readouterr().err
+
 
 def test_run_rejects_unknown_command_and_format(tmp_path):
     assert run(RunManifest("explode", str(tmp_path))) == 1
@@ -403,10 +438,25 @@ def test_main_preset_and_bound(tmp_path):
     assert payload["goods"][0]["levels"][-1]["coefficient"] == 1.0
 
 
-def test_main_rejects_bad_argv():
-    with pytest.raises(SystemExit):
-        main(["simulate"])  # missing required options
-    with pytest.raises(SystemExit):
-        main(["unknown-command", "--out", "x"])
-    with pytest.raises(SystemExit):
-        main(["simulate", "--config", "c", "--out", "o", "--format", "xml"])
+def test_main_rejects_bad_argv(capsys):
+    # usage errors are user errors: exit 1 with argparse's usage message
+    for argv in (
+        ["simulate"],  # missing required options
+        ["simulate", "--config", "c"],  # no --out
+        ["unknown-command", "--out", "x"],
+        ["simulate", "--config", "c", "--out", "o", "--format", "xml"],
+        ["simulate", "--config", "c", "--out", "o", "--workers", "abc"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cdexchange") and "error:" in err, argv
+
+
+def test_main_help_exits_zero(capsys):
+    for argv in (["--help"], ["simulate", "--help"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert "usage: cdexchange" in capsys.readouterr().out

@@ -299,6 +299,25 @@ def test_dirichlet_spec_normalization_against_direct_gamma():
         assert abs(math.exp(spec.log_norm) - direct) <= 1e-12 * direct
 
 
+def test_dirichlet_spec_log_norm_matches_gammaln_oracle():
+    # log_norm is computed with math.lgamma; scipy's vectorized gammaln is
+    # the oracle.  They must agree to 1e-14 of the size of the terms.
+    from scipy.special import gammaln
+
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        n = int(rng.integers(2, 201))
+        alphas = rng.uniform(0.0, 60.0, size=n) + 1e-3
+        total = float(rng.uniform(0.01, 100.0))
+        spec = DirichletSpec(alphas, total)
+        s = float(alphas.sum())
+        terms = np.concatenate(
+            [gammaln(alphas), [-gammaln(s), s * math.log(total)]]
+        )
+        oracle = float(gammaln(alphas).sum() - gammaln(s) + s * math.log(total))
+        assert abs(spec.log_norm - oracle) <= 1e-14 * np.abs(terms).sum()
+
+
 def test_dirichlet_spec_validation():
     with pytest.raises(NonPositiveExponent):
         DirichletSpec(np.array([1.0, 0.0]), 1.0)
