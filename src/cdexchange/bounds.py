@@ -23,7 +23,9 @@ price of each conservative step is only a smaller reported rate.  Both
 floors are computed in log space and rounded down there by a margin
 proportional to the magnitude of the log terms, which covers the
 rounding of every elementary function and sum; an exact floor (1 for
-the density floor when no exponent exceeds 1) stays exact.
+the density floor when no exponent exceeds 1) stays exact.  The ladder,
+the mass and the rate are rounded down the same way, so each reported
+number is a lower bound on its exact value given the floors.
 
 ``scipy.special`` (``gammaln``, ``digamma``, ``gammainc``, ``gammaincc``)
 is imported inside the functions that call it, so only ``bound`` pays
@@ -42,7 +44,6 @@ from .economy import (
     NonPositiveExponent,
     State,
     config_digest,
-    good_spec,
     require_validated,
 )
 from .simulate import _embedded_batch
@@ -199,20 +200,27 @@ def minorization_coefficients(cfg: EconomyConfig, good: int) -> tuple[DoeblinLev
         raise IndexError(f"good index {good} out of range")
     alphas = cfg.exponents[:, good]
     rho = rate_ratio(cfg)
-    levels = []
-    log_c = 0.0
-    for n in range(2, cfg.n_agents):
+    levels, terms, size = [], [], 0.0
+    for n in range(2, cfg.n_agents + 1):
+        # fsum rounds the sum of every term so far once, within the margin;
+        # the log is lowered by the margin and its exp one ulp further.
+        log_c = math.fsum(terms) - _LOG_SLACK * size
+        if n == cfg.n_agents:  # the top level has no step up, so no floors
+            levels.append(DoeblinLevel(n, None, None, _exp_floor(log_c, 0.0), log_c))
+            return tuple(levels)
         dens = density_ratio_floor(n, alphas)
         gam = gamma_ratio_floor(n, alphas)
-        levels.append(DoeblinLevel(n, dens, gam, math.exp(log_c), log_c))
-        log_c += (
-            (1.0 - n) * math.log1p(2.0 / ((n - 1.0) * rho))
-            + math.log(2.0 * rho / (n * (n + 1.0)))
-            + math.log(gam)
-            + math.log(dens)
+        levels.append(DoeblinLevel(n, dens, gam, _exp_floor(log_c, 0.0), log_c))
+        step = (
+            (1.0 - n) * math.log1p(2.0 / ((n - 1.0) * rho)),
+            math.log(2.0 * rho / (n * (n + 1.0))),
+            math.log(gam),
+            math.log(dens),
         )
-    levels.append(DoeblinLevel(cfg.n_agents, None, None, math.exp(log_c), log_c))
-    return tuple(levels)
+        terms += step
+        # Each term errs by a few ulps of its size; the second also by a few
+        # ulps for the rounding of its argument, hence the 1.
+        size += math.fsum(map(abs, step)) + 1.0
 
 
 def _poisson_split(k: int, lam: float):
@@ -238,6 +246,12 @@ def _poisson_split(k: int, lam: float):
     return float(gammaincc(k, lam)), float(gammainc(k, lam))
 
 
+# Relative error allowed in a Poisson tail per unit of |log(tail)| + k + 1.
+# Against a 40-digit mpmath (k < 300, lam from 1e-14 to 3e4) the tail of
+# _poisson_split erred by at most 7.5 ulps per unit; this is four times that.
+_POISSON_SLACK = 32.0 * np.finfo(float).eps
+
+
 def _check_mass_args(coefficient, total_rate, n_agents):
     if not (0.0 < coefficient <= 1.0):
         raise ValueError(f"coefficient must lie in (0, 1], got {coefficient!r}")
@@ -252,12 +266,18 @@ def minorization_mass(
 ) -> float:
     """Mass of the dominated component for the time-``tau`` chain: the
     coefficient times the probability of at least ``n_agents - 1`` events
-    in a window of length ``tau``."""
+    in a window of length ``tau``, rounded down."""
     _check_mass_args(coefficient, total_rate, n_agents)
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive, got {tau!r}")
-    _, tail = _poisson_split(int(n_agents) - 1, total_rate * tau)
-    return coefficient * tail
+    k = int(n_agents) - 1
+    _, tail = _poisson_split(k, total_rate * tau)
+    # The tail is the exp of a sum of logs, so its error grows with its log;
+    # a relative error in the rounded total_rate * tau moves it by at most k
+    # times as much (its elasticity in lam).
+    if tail > 0.0:
+        tail *= 1.0 - _POISSON_SLACK * (abs(math.log(tail)) + k + 1.0)
+    return math.nextafter(coefficient * tail, 0.0)
 
 
 def _log_survival(coefficient: float, k: int, lam: float) -> float:
@@ -276,7 +296,8 @@ def optimize_rate(
     coefficient: float, total_rate: float, n_agents: int
 ) -> tuple[float, float]:
     """Maximize the certified rate ``-log(1 - mass(tau)) / tau`` over
-    ``tau > 0``; returns ``(tau_star, certified_rate)``.
+    ``tau > 0``; returns ``(tau_star, certified_rate)``, the rate at
+    ``tau_star`` rounded down.
 
     The search runs in ``lam = total_rate * tau``: a log-spaced grid
     brackets the interior maximum and golden-section search refines it.
@@ -293,6 +314,13 @@ def optimize_rate(
     def profile(lam: float) -> float:
         return -_log_survival(coefficient, k, lam) / lam
 
+    def certified(lam: float) -> tuple[float, float]:
+        # From the rounded-down mass: log1p errs by an ulp or so of its
+        # size, within _LOG_SLACK; the division rounds once more, one ulp.
+        tau = lam / total_rate
+        mass = minorization_mass(coefficient, total_rate, n_agents, tau)
+        return tau, math.nextafter(-math.log1p(-mass) * (1.0 - _LOG_SLACK) / tau, 0.0)
+
     lams = np.geomspace(1e-4, max(1e4, 200.0 * k), 400)
     vals = np.array([profile(l) for l in lams])
     finite = np.isfinite(vals)
@@ -301,8 +329,7 @@ def optimize_rate(
     vmax = float(vals[finite].max())
     vmin = float(vals[finite].min())
     if vmax - vmin <= 1e-12 * abs(vmax):
-        lam_star = float(lams[len(lams) // 2])
-        return lam_star / total_rate, total_rate * profile(lam_star)
+        return certified(float(lams[len(lams) // 2]))
     i = int(np.argmax(np.where(finite, vals, -np.inf)))
     # A non-finite neighbor means the survival probability underflowed to
     # zero next door (coefficient 1): the profile is still climbing there
@@ -339,7 +366,7 @@ def optimize_rate(
             best_lam, best_val = cand_l, cand_v
         if hi - lo < 1e-10:
             break
-    return best_lam / total_rate, total_rate * best_val
+    return certified(best_lam)
 
 
 @dataclass(frozen=True)

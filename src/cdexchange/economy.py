@@ -9,9 +9,8 @@ scaled simplex ``{g >= 0 : sum(g) = G}``, and the stationary law of the
 whole process is a product of Dirichlet distributions, one per good.
 
 Everything stochastic takes an explicit ``numpy.random.Generator``.
-This module needs numpy only: the Dirichlet normalizer uses
-``math.lgamma``, so importing the package, validating a config and
-simulating never load scipy.
+This module needs numpy only, so importing the package, validating a
+config and simulating never load scipy.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "NonPositiveParameter",
     "SameAgent",
     "IndexOutOfRange",
-    "PointOffSimplex",
     "ConservationError",
     "NegativeHolding",
     "EconomyConfig",
@@ -47,7 +45,6 @@ __all__ = [
     "beta_sample",
     "apply_encounter",
     "sample_dirichlet",
-    "dirichlet_log_density",
     "config_digest",
 ]
 
@@ -89,10 +86,6 @@ class SameAgent(ValueError):
 
 
 class IndexOutOfRange(IndexError):
-    pass
-
-
-class PointOffSimplex(ValueError):
     pass
 
 
@@ -268,19 +261,13 @@ def check_state(cfg: EconomyConfig, state: State, rtol: float = 1e-9) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DirichletSpec:
-    """One good's stationary Dirichlet law on the scaled simplex.
-
-    The density against the reference measure ``total * d(g_1..g_{N-1})``
-    is ``exp(-log_norm) * prod_i g_i**(alphas[i]-1)`` with
-
-        log_norm = sum_i lgamma(alphas[i]) - lgamma(sum_i alphas[i])
-                   + (sum_i alphas[i]) * log(total).
-    """
+    """One good's stationary law: ``total`` times a Dirichlet(``alphas``)
+    point, so the holdings sum to ``total``.  ``exponent_sum`` is the sum
+    of ``alphas``, filled in on construction."""
 
     alphas: np.ndarray
     total: float
     exponent_sum: float = 0.0
-    log_norm: float = 0.0
 
     def __post_init__(self):
         a = np.array(self.alphas, dtype=float).ravel()
@@ -291,16 +278,9 @@ class DirichletSpec:
         total = float(self.total)
         if not math.isfinite(total) or total <= 0.0:
             raise ZeroTotalGood("total must be positive")
-        s = float(a.sum())
-        log_norm = (
-            math.fsum(map(math.lgamma, a.tolist()))
-            - math.lgamma(s)
-            + s * math.log(total)
-        )
         object.__setattr__(self, "alphas", _frozen(a))
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "exponent_sum", s)
-        object.__setattr__(self, "log_norm", log_norm)
+        object.__setattr__(self, "exponent_sum", float(a.sum()))
 
 
 def good_spec(cfg: EconomyConfig, good: int) -> DirichletSpec:
@@ -365,21 +345,10 @@ def apply_encounter(
     return State(h)
 
 
-def sample_dirichlet(
-    spec: DirichletSpec, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Exact draw from the scaled Dirichlet via normalized Gamma variates.
-
-    Returns one point of shape (N,), or a (size, N) batch when ``size``
-    is given.
-    """
-    if size is None:
-        x = rng.standard_gamma(spec.alphas)
-        s = x.sum()
-        while s == 0.0:
-            x = rng.standard_gamma(spec.alphas)
-            s = x.sum()
-        return spec.total * (x / s)
+def sample_dirichlet(spec: DirichletSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` exact draws from the scaled Dirichlet, shape (size, N), as
+    Gamma variates normalized by their sum.  A row whose Gamma variates
+    all underflow to zero is redrawn."""
     x = rng.standard_gamma(spec.alphas, size=(int(size), spec.alphas.size))
     s = x.sum(axis=1)
     while np.any(s == 0.0):
@@ -387,35 +356,6 @@ def sample_dirichlet(
         x[zero] = rng.standard_gamma(spec.alphas, size=(int(zero.sum()), spec.alphas.size))
         s = x.sum(axis=1)
     return spec.total * (x / s[:, None])
-
-
-def dirichlet_log_density(spec: DirichletSpec, point) -> float:
-    """Log density at ``point`` against the measure ``total * d(g_1..g_{N-1})``.
-
-    Boundary conventions: a zero coordinate with exponent > 1 gives -inf
-    (the density vanishes); a zero coordinate with exponent < 1 gives +inf
-    (the density diverges there but stays integrable); exponent == 1
-    contributes nothing.
-    """
-    g = np.asarray(point, dtype=float).ravel()
-    if g.size != spec.alphas.size:
-        raise BadDimensions(
-            f"point has {g.size} coordinates, spec has {spec.alphas.size}"
-        )
-    if np.any(~np.isfinite(g)) or np.any(g < 0.0):
-        raise PointOffSimplex("coordinates must be finite and non-negative")
-    if abs(g.sum() - spec.total) > 1e-9 * spec.total:
-        raise PointOffSimplex(
-            f"coordinates sum to {g.sum()!r}, expected {spec.total!r}"
-        )
-    a = spec.alphas
-    zero = g == 0.0
-    if np.any(zero & (a > 1.0)):
-        return float("-inf")
-    if np.any(zero & (a < 1.0)):
-        return float("inf")
-    live = ~zero
-    return float(np.dot(a[live] - 1.0, np.log(g[live])) - spec.log_norm)
 
 
 def config_digest(cfg: EconomyConfig) -> str:

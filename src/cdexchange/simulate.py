@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .economy import (
-    BadDimensions,
     ConfigError,
     EconomyConfig,
     State,
@@ -48,7 +47,6 @@ __all__ = [
     "validate_plan",
     "simulate_trajectory",
     "run_ensemble",
-    "embedded_chain_step",
     "plan_digest",
 ]
 
@@ -346,25 +344,11 @@ def run_ensemble(
     )
 
 
-def embedded_chain_step(
-    state: State, cfg: EconomyConfig, steps: int, rng: np.random.Generator
-) -> State:
-    """Advance the embedded (clock-free) chain: ``steps`` times, pick a
-    pair with probability rates[i, j] / K and redistribute."""
-    require_validated(cfg)
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise ValueError("steps must be a non-negative integer")
-    h = np.array(state.holdings, dtype=float)
-    if h.shape != (cfg.n_agents, cfg.n_goods):
-        raise BadDimensions("state shape does not match config")
-    return State(_embedded_batch(h[None], cfg, steps, rng)[0])
-
-
 def _embedded_batch(holdings, cfg, steps, rng):
-    """Embedded steps across a batch of independent states, in lockstep.
-
-    ``holdings`` has shape (batch, N, M) and is updated in place.
-    """
+    """``steps`` embedded (clock-free) steps across a batch of independent
+    states, in lockstep: each step picks a pair per state with probability
+    rates[i, j] / K and redistributes.  ``holdings`` has shape
+    (batch, N, M) and is updated in place."""
     table = _pair_table(cfg)
     rows = np.arange(holdings.shape[0])
     for _ in range(int(steps)):

@@ -60,6 +60,7 @@ _NS_REFERENCE = 1
 _NS_BASELINE = 2
 
 _MIN_KS_SAMPLES = 35  # below this the asymptotic Kolmogorov p-value is junk
+_BASELINE_REPLICATES = 8  # stationary sample pairs behind the TV noise floor
 
 
 class EmptySample(ValueError):
@@ -182,13 +183,12 @@ class HistogramBinning:
         return self.lower.size
 
 
-def default_binning(n_samples: int, totals, mode: str | None = None) -> HistogramBinning:
+def default_binning(n_samples: int, totals) -> HistogramBinning:
     """House rule: ceil(n^(1/3)) equal-width bins per coordinate, capped
     at 64; joint counting up to 3 coordinates, marginal above."""
     totals = np.asarray(totals, dtype=float).ravel()
     bins = min(64, int(math.ceil(n_samples ** (1.0 / 3.0))))
-    if mode is None:
-        mode = "joint" if totals.size <= 3 else "marginal"
+    mode = "joint" if totals.size <= 3 else "marginal"
     return HistogramBinning(np.zeros_like(totals), totals, max(bins, 1), mode)
 
 
@@ -354,20 +354,14 @@ class ConvergenceReport:
                 w.writerow(row)
 
 
-def convergence_report(
-    ensemble: EnsembleStats,
-    cfg: EconomyConfig,
-    *,
-    binning: HistogramBinning | None = None,
-    baseline_replicates: int = 8,
-) -> ConvergenceReport:
+def convergence_report(ensemble: EnsembleStats, cfg: EconomyConfig) -> ConvergenceReport:
     """Compare an ensemble's snapshots against the exact stationary law.
 
-    Needs an ensemble built with ``keep_samples=True``.  The TV reference
-    at each (time, good) is a fresh stationary sample of equal size from a
-    dedicated stream, and the reported baseline is the mean/std of the
-    binned TV between ``baseline_replicates`` pairs of independent
-    stationary samples (the estimator's noise floor).
+    Needs an ensemble built with ``keep_samples=True``; each good is binned
+    by :func:`default_binning`.  The TV reference at each (time, good) is a
+    fresh stationary sample of equal size from a dedicated stream, and the
+    reported baseline is the mean/std of the binned TV between 8 pairs of
+    independent stationary samples (the estimator's noise floor).
     """
     require_validated(cfg)
     if ensemble.samples is None:
@@ -380,14 +374,10 @@ def convergence_report(
     ks_stat = np.empty((t_cnt, n, m))
     ks_p = np.empty((t_cnt, n, m))
     tv = np.empty((t_cnt, m))
-    bins_used = np.empty(m, dtype=np.int64)
-    modes = []
+    binnings = [default_binning(n_samples, np.full(n, spec.total)) for spec in specs]
 
     for g in range(m):
-        spec = specs[g]
-        b = binning or default_binning(n_samples, np.full(n, spec.total))
-        bins_used[g] = b.bins
-        modes.append(b.mode)
+        spec, b = specs[g], binnings[g]
         betas = spec.exponent_sum - spec.alphas
         # Marginal CDF of every holding of good g, one row per agent,
         # carried from each sample time to the next.
@@ -416,15 +406,14 @@ def convergence_report(
     base_mean = np.empty(m)
     base_std = np.empty(m)
     for g in range(m):
-        b = binning or default_binning(n_samples, np.full(n, specs[g].total))
         reps = []
-        for r in range(baseline_replicates):
+        for r in range(_BASELINE_REPLICATES):
             rng = derived_rng(cfg.seed, _NS_BASELINE, r, g)
             sa = sample_dirichlet(specs[g], rng, size=n_samples)
             sb = sample_dirichlet(specs[g], rng, size=n_samples)
-            reps.append(binned_tv(sa, sb, b))
+            reps.append(binned_tv(sa, sb, binnings[g]))
         base_mean[g] = float(np.mean(reps))
-        base_std[g] = float(np.std(reps, ddof=1)) if len(reps) > 1 else 0.0
+        base_std[g] = float(np.std(reps, ddof=1))
 
     return ConvergenceReport(
         sample_times=ensemble.sample_times,
@@ -435,9 +424,9 @@ def convergence_report(
         tv=tv,
         baseline_tv_mean=base_mean,
         baseline_tv_std=base_std,
-        baseline_replicates=baseline_replicates,
-        bins_per_coordinate=bins_used,
-        binning_modes=modes,
+        baseline_replicates=_BASELINE_REPLICATES,
+        bins_per_coordinate=np.array([b.bins for b in binnings], dtype=np.int64),
+        binning_modes=[b.mode for b in binnings],
         plan_digest=ensemble.plan_digest,
         seed=cfg.seed,
     )

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc, gammaincc
+from scipy.special import digamma, gammainc, gammaincc
 
 from cdexchange import (
     NonPositiveExponent,
@@ -23,7 +23,7 @@ from cdexchange import (
     optimize_rate,
     rate_ratio,
 )
-from cdexchange.bounds import _poisson_split
+from cdexchange.bounds import _LOG_SLACK, _poisson_split
 
 from util import make_config, uniform_config
 
@@ -283,20 +283,29 @@ def brute_force_gamma_floor(level, alphas):
     return math.exp(best)
 
 
-def loop_gamma_floor(level, alphas):
+def loop_gamma_pairs(level, alphas):
     # Pair-by-pair route: for each ordered (a, b), the level - 1 largest
     # remaining exponents join a in s.
     a = np.asarray(alphas, dtype=float)
     order = np.argsort(a)[::-1]
-    best = math.inf
     for i in range(a.size):
         for j in range(a.size):
-            if i == j:
-                continue
-            rest = [k for k in order if k != i and k != j]
-            s = a[i] + a[rest[: level - 1]].sum()
-            best = min(best, log_gamma_ratio(a[i], a[j], s))
-    return math.exp(best)
+            if i != j:
+                rest = [k for k in order if k != i and k != j]
+                yield a[i], a[j], a[i] + a[rest[: level - 1]].sum()
+
+
+def loop_gamma_floor(level, alphas):
+    return math.exp(min(log_gamma_ratio(*p) for p in loop_gamma_pairs(level, alphas)))
+
+
+def gamma_floor_size(level, a, b, s):
+    # The error size gamma_ratio_floor documents for one pair: each
+    # log-Gamma term plus one, and (level + 3) ulps of s + b through the
+    # digamma slope.
+    terms = (math.lgamma(a + b), math.lgamma(a), math.lgamma(s), math.lgamma(s + b))
+    slope = digamma(s + b) - digamma(s)
+    return sum(abs(t) + 1.0 for t in terms) + (level + 3.0) * (s + b) * slope
 
 
 def test_gamma_floor_matches_brute_force():
@@ -318,14 +327,20 @@ def test_gamma_floor_below_every_relabeling(inputs):
 
 @settings(max_examples=150, deadline=None)
 @given(inputs=floor_inputs(max_level=20, max_extra=4))
+@example(inputs=(18, np.array([1.0] * 6 + [3.0] + [5.0] * 10 + [4.5] * 2)))
 def test_gamma_floor_matches_pairwise_loop(inputs):
-    # the rounding margin grows with the size of the log-Gamma terms, so
-    # the 1e-12 match holds for exponents of moderate size
+    # The floor lowers its log by _LOG_SLACK times the error size of the
+    # pair that binds it, after an error of at most that much in its own
+    # log; the oracle's math.lgamma sum errs by at most that much again.
     level, alphas = inputs
     alphas = np.minimum(alphas, 5.0)
     fast = gamma_ratio_floor(level, alphas)
-    slow = loop_gamma_floor(level, alphas)
-    assert slow * (1.0 - 1e-12) <= fast <= slow
+    pairs = list(loop_gamma_pairs(level, alphas))
+    logs = np.array([log_gamma_ratio(*p) for p in pairs])
+    sizes = np.array([gamma_floor_size(level, *p) for p in pairs])
+    slow = math.exp(logs.min())
+    size = sizes[np.argmin(logs - _LOG_SLACK * sizes)]
+    assert slow * math.exp(-3.0 * _LOG_SLACK * size) <= fast <= slow
 
 
 def test_gamma_floor_below_one():
@@ -408,15 +423,17 @@ def test_poisson_split_large_lambda_branch():
 # ---------------------------------------------------------------- mass
 
 def test_mass_closed_forms():
+    # the mass is rounded down, by far less than 1e-13 relative
     # two agents: mass = c * (1 - exp(-K tau))
     for c, K, tau in ((1.0, 2.0, 0.3), (0.25, 5.0, 1.7)):
         got = minorization_mass(c, K, 2, tau)
-        assert math.isclose(got, c * -math.expm1(-K * tau), rel_tol=1e-14)
+        want = c * -math.expm1(-K * tau)
+        assert want * (1.0 - 1e-13) <= got < want
     # three agents: mass = c * (1 - exp(-L)(1 + L)), L = K tau
     c, K, tau = 1.0 / 18.0, 3.0, 0.8
     L = K * tau
     want = c * (1.0 - math.exp(-L) * (1.0 + L))
-    assert math.isclose(minorization_mass(c, K, 3, tau), want, rel_tol=1e-13)
+    assert want * (1.0 - 1e-13) <= minorization_mass(c, K, 3, tau) < want
 
 
 def test_mass_validation():
@@ -479,9 +496,10 @@ def test_optimize_rate_stationarity():
 
 
 def test_optimize_rate_flat_two_agent_profile():
-    # coefficient 1 with two agents: every tau certifies rate == K
+    # coefficient 1 with two agents: every tau certifies rate == K, which
+    # the rounded-down rate approaches from below
     tau, rate = optimize_rate(1.0, 4.0, 2)
-    assert rate == 4.0
+    assert 4.0 * (1.0 - 1e-13) <= rate < 4.0
     assert tau > 0.0
 
 
@@ -571,6 +589,45 @@ def test_doeblin_report_twenty_distinct_agents():
         slow = loop_gamma_floor(lv.n, alphas)
         assert slow * (1.0 - 1e-12) <= lv.gamma_floor <= slow
     assert 0.0 < rep.certified_rate < cfg.total_rate
+
+
+@st.composite
+def one_good_economies(draw):
+    n = draw(st.integers(2, 15))
+    pairs = n * (n - 1) // 2
+    alphas = draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n))
+    upper = draw(st.lists(st.floats(0.5, 2.0), min_size=pairs, max_size=pairs))
+    rates = np.zeros((n, n))
+    rates[np.triu_indices(n, 1)] = upper
+    return make_config(rates + rates.T, np.array(alphas)[:, None], np.full((n, 1), 1.0 / n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=one_good_economies())
+def test_certificate_below_exact_recomputation(cfg):
+    # Taking the reported floors as exact, a 60-digit recomputation of the
+    # ladder, of the mass and of the rate at tau_star never falls below the
+    # reported numbers, which stay within 1e-12 of it.
+    mp = pytest.importorskip("mpmath")
+    gb = doeblin_report(cfg).goods[0]
+    with mp.workdps(60):
+        rho = mp.mpf(cfg.min_rate) / mp.mpf(cfg.max_rate)
+        c = mp.mpf(1)
+        for lv in gb.levels:
+            assert c * (1 - mp.mpf(1e-12)) <= lv.coefficient <= c
+            assert lv.log_coefficient <= mp.log(c)
+            if lv.density_floor is not None:
+                n = lv.n
+                c *= (
+                    (1 + 2 / ((n - 1) * rho)) ** (1 - n) * 2 * rho / (n * (n + 1))
+                    * lv.gamma_floor * lv.density_floor
+                )
+        total_rate = mp.fsum(cfg.rates[np.triu_indices(cfg.n_agents, 1)].tolist())
+        tau = mp.mpf(gb.tau_star)
+        mass = c * mp.gammainc(cfg.n_agents - 1, 0, total_rate * tau, regularized=True)
+        rate = -mp.log1p(-mass) / tau
+        assert mass * (1 - mp.mpf(1e-12)) <= gb.mass <= mass
+        assert rate * (1 - mp.mpf(1e-12)) <= gb.certified_rate <= rate
 
 
 # ---------------------------------------------------------------- empirical check

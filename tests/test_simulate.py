@@ -14,7 +14,6 @@ from cdexchange import (
     State,
     check_state,
     derived_rng,
-    embedded_chain_step,
     marginal_ks,
     plan_digest,
     run_ensemble,
@@ -387,31 +386,6 @@ def test_workers_argument_validated():
 
 # ---------------------------------------------------------------- embedded
 
-def test_embedded_step_identity_and_validation():
-    cfg = uniform_config(3)
-    state = State.equal_split(cfg)
-    out = embedded_chain_step(state, cfg, 0, derived_rng(0, 5))
-    assert np.array_equal(out.holdings, state.holdings)
-    with pytest.raises(ValueError):
-        embedded_chain_step(state, cfg, -1, derived_rng(0, 5))
-    with pytest.raises(ValueError):
-        embedded_chain_step(state, cfg, 1.5, derived_rng(0, 5))
-
-
-def test_embedded_batch_matches_single_step_law():
-    cfg = uniform_config(2, seed=31)
-    n = 30_000
-    batch = np.tile([[1.0], [0.0]], (n, 1, 1))
-    _embedded_batch(batch, cfg, 1, derived_rng(cfg.seed, 13))
-    singles = np.empty(n)
-    rng = derived_rng(cfg.seed, 14)
-    state = State.point_mass(cfg, 0)
-    for k in range(n):
-        singles[k] = embedded_chain_step(state, cfg, 1, rng).holdings[0, 0]
-    res = ks_2samp(batch[:, 0, 0], singles)
-    assert res.pvalue > 0.01
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(2, 4),
@@ -421,9 +395,10 @@ def test_embedded_batch_matches_single_step_law():
 )
 def test_embedded_steps_conserve(n, steps, alpha, seed):
     cfg = uniform_config(n, n_goods=2, alpha=alpha, total=2.5, seed=seed)
-    state = State.point_mass(cfg, n - 1)
-    out = embedded_chain_step(state, cfg, steps, derived_rng(seed, 15))
-    check_state(cfg, out)
+    batch = np.tile(State.point_mass(cfg, n - 1).holdings, (8, 1, 1))
+    _embedded_batch(batch, cfg, steps, derived_rng(seed, 15))
+    for h in batch:
+        check_state(cfg, State(h))
 
 
 # ---------------------------------------------------------------- digests

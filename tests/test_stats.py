@@ -248,7 +248,6 @@ def test_default_binning_rules():
     assert default_binning(1, [1.0]).bins == 1
     assert default_binning(1000, [1.0, 1.0, 1.0]).mode == "joint"
     assert default_binning(1000, [1.0] * 4).mode == "marginal"
-    assert default_binning(1000, [1.0] * 4, mode="joint").mode == "joint"
     b = default_binning(1000, [2.0, 3.0])
     assert np.array_equal(b.lower, [0.0, 0.0])
     assert np.array_equal(b.upper, [2.0, 3.0])
@@ -383,7 +382,7 @@ def test_convergence_report_ks_matches_plain_marginal_ks(initial_state, n_traj):
         validate_plan(SimulationPlan(cfg, 1.0, times, n_traj, initial_state)),
         keep_samples=True,
     )
-    rep = convergence_report(ens, cfg, baseline_replicates=2)
+    rep = convergence_report(ens, cfg)
     for g in range(cfg.n_goods):
         spec = good_spec(cfg, g)
         for t in range(times.size):
@@ -412,7 +411,7 @@ def test_convergence_report_needs_samples():
 def test_convergence_report_json_matches_schema():
     jsonschema = pytest.importorskip("jsonschema")
     cfg, ens = _small_ensemble("equilibrium", n_traj=120, times=(0.0, 0.5))
-    rep = convergence_report(ens, cfg, baseline_replicates=3)
+    rep = convergence_report(ens, cfg)
     payload = rep.to_json_dict()
     schema = json.loads((SCHEMA_DIR / "convergence_report.schema.json").read_text())
     jsonschema.validate(payload, schema)
@@ -422,7 +421,7 @@ def test_convergence_report_json_matches_schema():
 
 def test_convergence_report_csv_round_trip(tmp_path):
     cfg, ens = _small_ensemble("equilibrium", n_traj=120, times=(0.0, 0.5))
-    rep = convergence_report(ens, cfg, baseline_replicates=3)
+    rep = convergence_report(ens, cfg)
     path = tmp_path / "conv.csv"
     rep.write_csv(path)
     lines = path.read_text().splitlines()
