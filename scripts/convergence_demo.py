@@ -15,7 +15,6 @@ from cdexchange import (
     SimulationPlan,
     State,
     convergence_report,
-    run_ensemble,
     validate_config,
 )
 
@@ -54,8 +53,7 @@ def main() -> None:
         n_trajectories=args.trajectories,
         initial_state=State.point_mass(cfg, 0),
     )
-    ens = run_ensemble(plan, keep_samples=True, workers=args.workers)
-    rep = convergence_report(ens, cfg)
+    rep = convergence_report(plan, workers=args.workers)
 
     floor = rep.baseline_tv_mean[0]
     print(f"agents={args.agents} trajectories={args.trajectories} "

@@ -300,7 +300,8 @@ def optimize_rate(
     ``tau_star`` rounded down.
 
     The search runs in ``lam = total_rate * tau``: a log-spaced grid
-    brackets the interior maximum and golden-section search refines it.
+    brackets the interior maximum and golden-section search refines it
+    to 1e-6 in ``log(lam)``, where rounding noise cannot yet decide it.
     Because the profile in ``lam`` does not involve ``total_rate``, the
     optimum scales exactly linearly when all rates are rescaled.  A flat
     profile (two agents, coefficient 1: the rate equals ``total_rate``
@@ -364,7 +365,7 @@ def optimize_rate(
             cand_l, cand_v = math.exp(c1), f1
         if cand_v > best_val:
             best_lam, best_val = cand_l, cand_v
-        if hi - lo < 1e-10:
+        if hi - lo < 1e-6:
             break
     return certified(best_lam)
 

@@ -323,8 +323,8 @@ def _apply_overrides(manifest, cfg, plan):
 
 
 def _preflight(plan):
-    """Refuse a plan whose expected event count or retained sample array
-    exceeds its limit, before any of it runs."""
+    """Refuse a plan whose expected event count or one-sample-time slice
+    of the ensemble exceeds its limit, before any of it runs."""
     cfg = plan.cfg
     # every block simulates all _BLOCK rows, however few of them are kept
     rows = -(-plan.n_trajectories // _BLOCK) * _BLOCK
@@ -335,14 +335,11 @@ def _preflight(plan):
             f"simulated trajectories), over the limit of {_MAX_EVENTS:.3g}",
             path="simulation",
         )
-    nbytes = (
-        plan.sample_times.size * plan.n_trajectories
-        * cfg.n_agents * cfg.n_goods * 8
-    )
+    nbytes = plan.n_trajectories * cfg.n_agents * cfg.n_goods * 8
     if nbytes > _MAX_SAMPLE_BYTES:
         raise ValidationError(
-            f"the sample array would take {nbytes / 2**30:.3g} GiB "
-            f"(times x trajectories x agents x goods x 8 bytes), over the "
+            f"one sample time of the ensemble would take {nbytes / 2**30:.3g} GiB "
+            f"(trajectories x agents x goods x 8 bytes), over the "
             f"limit of {_MAX_SAMPLE_BYTES / 2**30:.3g} GiB",
             path="simulation",
         )
@@ -400,8 +397,7 @@ def _dispatch(manifest: RunManifest) -> int:
             path="trajectories" if manifest.n_trajectories is not None
             else "simulation.n_trajectories",
         )
-    ens = run_ensemble(plan, keep_samples=True, workers=manifest.workers)
-    report = convergence_report(ens, cfg)
+    report = convergence_report(plan, workers=manifest.workers)
     if manifest.fmt in ("csv", "both"):
         report.write_csv(os.path.join(out, "convergence.csv"))
     if manifest.fmt in ("json", "both"):

@@ -233,14 +233,11 @@ class State:
         h = np.tile(cfg.good_totals / cfg.n_agents, (cfg.n_agents, 1))
         return cls(h)
 
-    def copy(self) -> "State":
-        return State(np.array(self.holdings, dtype=float))
 
-
-def check_state(cfg: EconomyConfig, state: State, rtol: float = 1e-9) -> None:
+def check_state(cfg: EconomyConfig, state: State) -> None:
     """Raise unless ``state`` is a valid point of the configured state space:
     correct shape, non-negative entries, per-good totals conserved to
-    relative ``rtol``."""
+    relative 1e-9."""
     require_validated(cfg)
     h = np.asarray(state.holdings, dtype=float)
     if h.shape != (cfg.n_agents, cfg.n_goods):
@@ -251,7 +248,7 @@ def check_state(cfg: EconomyConfig, state: State, rtol: float = 1e-9) -> None:
         i, j = np.argwhere(h < 0.0)[0]
         raise NegativeHolding(f"holdings[{i}][{j}] is negative")
     totals = h.sum(axis=0)
-    bad = np.abs(totals - cfg.good_totals) > rtol * cfg.good_totals
+    bad = np.abs(totals - cfg.good_totals) > 1e-9 * cfg.good_totals
     if np.any(bad):
         g = int(np.argwhere(bad)[0][0])
         raise ConservationError(

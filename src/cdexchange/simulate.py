@@ -4,18 +4,19 @@ Waiting times between encounters are Exponential(K) draws with
 ``K = sum_{i<j} rates[i, j]``; the meeting pair is chosen with
 probability ``rates[i, j] / K`` from a precomputed alias table.
 
-Trajectories run in fixed blocks of ``_BLOCK`` rows that advance in
-lockstep: each step draws the waiting times, the meeting pairs and the
-Beta fractions of every still-running row with one vectorized call each.
-Block ``b`` owns one PCG64 stream spawned from ``(config seed, b)``, and
-every block writes its own slice of the result, so results are
-bit-identical no matter how many worker threads run the blocks or in
-which order they finish.  The embedded (clock-free) chain is the same
-step without the clock.
+Trajectories run in fixed blocks of ``_BLOCK`` rows that advance to one
+sample time after another: each step applies an encounter to every row
+whose next event is due, with one vectorized draw each for the pairs,
+the Beta fractions and the next waiting times, and then the block *is*
+that time's snapshot.  The ensemble streams out one slice per sample
+time.  Block ``b`` owns one PCG64 stream spawned from ``(config seed, 0,
+b)``, so results are bit-identical for any number of worker threads.
+The embedded (clock-free) chain is the same step without the clock.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -46,6 +47,7 @@ __all__ = [
     "derived_rng",
     "validate_plan",
     "simulate_trajectory",
+    "ensemble_states",
     "run_ensemble",
     "plan_digest",
 ]
@@ -213,63 +215,76 @@ def _encounters(h, rows, table, exponents, rng):
     h[rows, j] = gj
 
 
-def _run_block(plan, block, table, out, events):
-    """Run the ``_BLOCK`` trajectories of one block in lockstep.
+def _block_seed(cfg: EconomyConfig, block: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_NS_TRAJECTORY, block))
 
-    Rows are kept from the first: the snapshots of row ``r`` go to
-    ``out[:, r]`` (``out`` has shape (T, n_keep, N, M)) and its event count
-    to ``events[r]``.  Rows past ``n_keep`` still run, so every row is the
-    same whatever the ensemble size.  Returns the seed of the block's
-    stream.
-    """
+
+def _block_states(plan, block, table):
+    """Advance one block to each sample time, then to ``t_end``, yielding
+    its live (_BLOCK, N, M) holdings and per-row event counts at each
+    stop.  A snapshot at ``s`` takes every event at or before ``s``.
+    Every row runs, so a row is the same whatever the ensemble size."""
     cfg = plan.cfg
-    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_NS_TRAJECTORY, block))
-    seed_used = int(ss.generate_state(1, dtype=np.uint64)[0])
-    rng = np.random.Generator(np.random.PCG64(ss))
-
-    n_keep = events.size
+    rng = np.random.Generator(np.random.PCG64(_block_seed(cfg, block)))
     h = _initial_block(plan, rng)
-    times = plan.sample_times
-    clock = np.zeros(_BLOCK)
-    ptr = np.zeros(_BLOCK, dtype=np.intp)  # next sample index of each row
     n_events = np.zeros(_BLOCK, dtype=np.int64)
-    rows = np.arange(_BLOCK)  # rows whose clock has not passed t_end
-    while True:
-        t_next = clock[rows] + rng.standard_exponential(rows.size) / cfg.total_rate
-        # Every sample time before a row's next event sees its current
-        # holdings (the right-continuous value).
-        due = np.searchsorted(times, t_next)
-        start = ptr[rows]
-        count = np.where(rows < n_keep, due - start, 0)
-        if count.any():
-            rr = np.repeat(rows, count)
-            run_start = np.cumsum(count) - count
-            tt = np.arange(rr.size) + np.repeat(start - run_start, count)
-            out[tt, rr] = h[rr]
-            ptr[rows] = due
-        live = t_next <= plan.t_end
-        rows = rows[live]
-        if rows.size == 0:
-            events[:] = n_events[:n_keep]
-            return seed_used
-        clock[rows] = t_next[live]
-        _encounters(h, rows, table, cfg.exponents, rng)
-        n_events[rows] += 1
+    t_next = rng.standard_exponential(_BLOCK) / cfg.total_rate
+    for t in (*plan.sample_times, plan.t_end):
+        rows = np.flatnonzero(t_next <= t)
+        while rows.size:
+            _encounters(h, rows, table, cfg.exponents, rng)
+            n_events[rows] += 1
+            t_next[rows] += rng.standard_exponential(rows.size) / cfg.total_rate
+            rows = rows[t_next[rows] <= t]
+        yield h, n_events
+
+
+def _stops(plan, workers):
+    """The ensemble's holdings (n, N, M) and event counts (n,) at each
+    sample time, then at ``t_end``, as fresh arrays.  ``workers`` threads
+    advance whole blocks, one ``next()`` per block per stop."""
+    n = plan.n_trajectories
+    n_blocks = -(-n // _BLOCK)
+    table = _pair_table(plan.cfg)
+    blocks = [_block_states(plan, b, table) for b in range(n_blocks)]
+    workers = min(workers, n_blocks)
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        step = pool.map if pool else map
+        for _ in range(plan.sample_times.size + 1):
+            stop = list(step(next, blocks))
+            yield (np.concatenate([h for h, _ in stop])[:n],
+                   np.concatenate([e for _, e in stop])[:n])
+
+
+def ensemble_states(plan: SimulationPlan, *, workers: int = 1):
+    """Iterator over the ensemble's holdings at each sample time in
+    order, one fresh (n_trajectories, N, M) array per time.  Events after
+    the last sample time never run.  Row ``k`` is trajectory ``k`` of
+    :func:`simulate_trajectory`, and the slices are bit-identical for any
+    ``workers``."""
+    plan = validate_plan(plan)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    stops = _stops(plan, workers)
+    return (next(stops)[0] for _ in plan.sample_times)
 
 
 def simulate_trajectory(plan: SimulationPlan, trajectory_index: int) -> Trajectory:
     """Run one trajectory: row ``trajectory_index % _BLOCK`` of block
     ``trajectory_index // _BLOCK``, the same row :func:`run_ensemble`
-    returns.  Deterministic given (cfg.seed, trajectory_index)."""
+    and :func:`ensemble_states` use.  Deterministic given (cfg.seed,
+    trajectory_index)."""
     plan = validate_plan(plan)
     if not isinstance(trajectory_index, (int, np.integer)) or trajectory_index < 0:
         raise ValueError("trajectory_index must be a non-negative integer")
     cfg = plan.cfg
     block, row = divmod(int(trajectory_index), _BLOCK)
-    out = np.empty((plan.sample_times.size, row + 1, cfg.n_agents, cfg.n_goods))
-    events = np.empty(row + 1, dtype=np.int64)
-    seed_used = _run_block(plan, block, _pair_table(cfg), out, events)
-    return Trajectory(plan.sample_times, out[:, row].copy(), int(events[row]), seed_used)
+    stops = [(h[row].copy(), int(e[row]))
+             for h, e in _block_states(plan, block, _pair_table(cfg))]
+    seed_used = int(_block_seed(cfg, block).generate_state(1, dtype=np.uint64)[0])
+    return Trajectory(plan.sample_times, np.stack([h for h, _ in stops[:-1]]),
+                      stops[-1][1], seed_used)
 
 
 @dataclass
@@ -281,58 +296,31 @@ class EnsembleStats:
     n_trajectories: int
     means: np.ndarray             # (T, N, M)
     variances: np.ndarray         # (T, N, M)
-    event_counts: np.ndarray      # (n_trajectories,) int64
+    event_counts: np.ndarray      # (n_trajectories,) int64, up to t_end
     plan_digest: str
-    samples: np.ndarray | None = None  # (T, n, N, M) when retained
 
 
-def run_ensemble(
-    plan: SimulationPlan,
-    *,
-    keep_samples: bool = False,
-    workers: int = 1,
-) -> EnsembleStats:
-    """Simulate ``plan.n_trajectories`` independent trajectories and
-    aggregate them.
-
-    ``workers`` only controls how many threads run the blocks; every block
-    is a pure function of (plan, block index) and writes its own rows, and
-    aggregation runs in index order, so the result is bit-identical for
-    any worker count.
-    """
+def run_ensemble(plan: SimulationPlan, *, workers: int = 1) -> EnsembleStats:
+    """Simulate ``plan.n_trajectories`` independent trajectories and fold
+    them, one sample time at a time, into per-time means and variances,
+    plus each trajectory's event count up to ``t_end``.  Memory does not
+    grow with the number of sample times, and the result is bit-identical
+    for any ``workers``."""
     plan = validate_plan(plan)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cfg = plan.cfg
     n_traj = plan.n_trajectories
     n_times = plan.sample_times.size
-    shape = (cfg.n_agents, cfg.n_goods)
-    table = _pair_table(cfg)
-
-    raw = np.empty((n_times, n_traj) + shape)
-    events = np.empty(n_traj, dtype=np.int64)
-
-    def run_block(block):
-        lo = block * _BLOCK
-        hi = min(lo + _BLOCK, n_traj)
-        _run_block(plan, block, table, raw[:, lo:hi], events[lo:hi])
-
-    n_blocks = -(-n_traj // _BLOCK)
-    workers = min(workers, n_blocks)
-    if workers == 1:
-        for block in range(n_blocks):
-            run_block(block)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, range(n_blocks)))
-
-    means = raw.mean(axis=1)
-    # One sample time at a time, so the deviations never take a second
-    # array the size of ``raw``.
-    squares = np.stack([((raw[t] - means[t]) ** 2).sum(axis=0) for t in range(n_times)])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        variances = squares / (n_traj - 1)
-
+    means = np.empty((n_times, cfg.n_agents, cfg.n_goods))
+    variances = np.empty_like(means)
+    stops = _stops(plan, workers)
+    for k in range(n_times):
+        h, _ = next(stops)
+        means[k] = h.mean(axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            variances[k] = ((h - means[k]) ** 2).sum(axis=0) / (n_traj - 1)
+    _, events = next(stops)  # at t_end
     return EnsembleStats(
         sample_times=plan.sample_times,
         n_trajectories=n_traj,
@@ -340,7 +328,6 @@ def run_ensemble(
         variances=variances,
         event_counts=events,
         plan_digest=plan_digest(plan),
-        samples=raw if keep_samples else None,
     )
 
 

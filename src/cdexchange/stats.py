@@ -8,8 +8,8 @@ Three instruments, all aimed at the product-Dirichlet target:
   which is a consistent estimator of TV over the binned algebra and
   therefore a lower bound on the true total variation.
 
-:func:`convergence_report` works through the sample times in order and
-keeps the Beta CDF value of every holding from one time to the next:
+:func:`convergence_report` takes the ensemble one sample time at a time
+and keeps the Beta CDF value of every holding from one time to the next:
 ``betainc`` runs again only on the holdings that changed since the
 previous sample time (most trajectories see no event between two close
 sample times).  Each value is the same elementwise computation that a
@@ -30,14 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import (
-    DirichletSpec,
-    EconomyConfig,
-    good_spec,
-    require_validated,
-    sample_dirichlet,
+from .economy import DirichletSpec, good_spec, sample_dirichlet
+from .simulate import (
+    SimulationPlan,
+    derived_rng,
+    ensemble_states,
+    plan_digest,
+    validate_plan,
 )
-from .simulate import EnsembleStats, derived_rng
 
 __all__ = [
     "EmptySample",
@@ -354,20 +354,21 @@ class ConvergenceReport:
                 w.writerow(row)
 
 
-def convergence_report(ensemble: EnsembleStats, cfg: EconomyConfig) -> ConvergenceReport:
-    """Compare an ensemble's snapshots against the exact stationary law.
+def convergence_report(plan: SimulationPlan, *, workers: int = 1) -> ConvergenceReport:
+    """Simulate the plan's ensemble and compare its snapshots against the
+    exact stationary law.
 
-    Needs an ensemble built with ``keep_samples=True``; each good is binned
-    by :func:`default_binning`.  The TV reference at each (time, good) is a
+    The slices stream from :func:`ensemble_states` and only the previous
+    one is kept; the report is the same for any ``workers``.  Each good
+    is binned by :func:`default_binning`.  The TV reference at each (time, good) is a
     fresh stationary sample of equal size from a dedicated stream, and the
     reported baseline is the mean/std of the binned TV between 8 pairs of
     independent stationary samples (the estimator's noise floor).
     """
-    require_validated(cfg)
-    if ensemble.samples is None:
-        raise ValueError("ensemble must be built with keep_samples=True")
-    raw = ensemble.samples
-    t_cnt, n_samples, n, m = raw.shape
+    plan = validate_plan(plan)
+    cfg = plan.cfg
+    t_cnt = plan.sample_times.size
+    n_samples, n, m = plan.n_trajectories, cfg.n_agents, cfg.n_goods
     specs = [good_spec(cfg, g) for g in range(m)]
 
     max_z = np.empty(t_cnt)
@@ -375,33 +376,29 @@ def convergence_report(ensemble: EnsembleStats, cfg: EconomyConfig) -> Convergen
     ks_p = np.empty((t_cnt, n, m))
     tv = np.empty((t_cnt, m))
     binnings = [default_binning(n_samples, np.full(n, spec.total)) for spec in specs]
-
-    for g in range(m):
-        spec, b = specs[g], binnings[g]
-        betas = spec.exponent_sum - spec.alphas
-        # Marginal CDF of every holding of good g, one row per agent,
-        # carried from each sample time to the next.
-        cdf = np.empty((n, n_samples))
-        for t in range(t_cnt):
-            pts = raw[t, :, :, g]
+    # Marginal CDF of every holding, carried from one sample time to the next.
+    cdf = np.empty((m, n, n_samples))
+    prev = None
+    for t, raw in enumerate(ensemble_states(plan, workers=workers)):
+        for g, spec in enumerate(specs):
+            betas = spec.exponent_sum - spec.alphas
+            pts = raw[:, :, g]
             ref_rng = derived_rng(cfg.seed, _NS_REFERENCE, t, g)
             ref = sample_dirichlet(spec, ref_rng, size=n_samples)
-            tv[t, g] = binned_tv(pts, ref, b)
+            tv[t, g] = binned_tv(pts, ref, binnings[g])
             for i in range(n):
                 x = pts[:, i]
-                redo = np.flatnonzero(x != raw[t - 1, :, i, g]) if t else slice(None)
-                cdf[i, redo] = _beta_cdf(spec.alphas[i], betas[i], x[redo], spec.total)
+                redo = slice(None) if prev is None else np.flatnonzero(x != prev[:, i, g])
+                cdf[g, i, redo] = _beta_cdf(spec.alphas[i], betas[i], x[redo], spec.total)
                 res = marginal_ks(
-                    x, spec.alphas[i], spec.exponent_sum, spec.total, cdf=cdf[i]
+                    x, spec.alphas[i], spec.exponent_sum, spec.total, cdf=cdf[g, i]
                 )
                 ks_stat[t, i, g] = res.statistic
                 ks_p[t, i, g] = res.pvalue
-
-    for t in range(t_cnt):
-        zs = [
-            np.abs(moment_z_scores(raw[t, :, :, g], specs[g])).max() for g in range(m)
-        ]
-        max_z[t] = max(zs)
+        max_z[t] = max(
+            np.abs(moment_z_scores(raw[:, :, g], specs[g])).max() for g in range(m)
+        )
+        prev = raw
 
     base_mean = np.empty(m)
     base_std = np.empty(m)
@@ -416,8 +413,8 @@ def convergence_report(ensemble: EnsembleStats, cfg: EconomyConfig) -> Convergen
         base_std[g] = float(np.std(reps, ddof=1))
 
     return ConvergenceReport(
-        sample_times=ensemble.sample_times,
-        n_trajectories=ensemble.n_trajectories,
+        sample_times=plan.sample_times,
+        n_trajectories=n_samples,
         max_moment_z=max_z,
         ks_statistic=ks_stat,
         ks_pvalue=ks_p,
@@ -427,6 +424,6 @@ def convergence_report(ensemble: EnsembleStats, cfg: EconomyConfig) -> Convergen
         baseline_replicates=_BASELINE_REPLICATES,
         bins_per_coordinate=np.array([b.bins for b in binnings], dtype=np.int64),
         binning_modes=[b.mode for b in binnings],
-        plan_digest=ensemble.plan_digest,
+        plan_digest=plan_digest(plan),
         seed=cfg.seed,
     )

@@ -29,7 +29,7 @@ from cdexchange import (
 from cdexchange.bounds import minorization_mass
 from cdexchange.simulate import _embedded_batch, _pair_table
 
-from util import make_config, uniform_config
+from util import ensemble_samples, make_config, uniform_config
 
 
 def _report(num, ok, detail):
@@ -55,10 +55,10 @@ def test_criterion_1_equilibrium_invariance():
     cfg = uniform_config(3, alpha=1.0, seed=2026)
     plan = _plan(cfg, 5.0, [5.0], 100_000, initial_state="equilibrium")
     t0 = time.perf_counter()
-    ens = run_ensemble(plan, keep_samples=True)
+    samples = ensemble_samples(plan)
     elapsed = time.perf_counter() - t0
     spec = DirichletSpec(np.ones(3), 1.0)
-    z = moment_z_scores(ens.samples[0, :, :, 0], spec)
+    z = moment_z_scores(samples[0, :, :, 0], spec)
     ok = bool(np.abs(z).max() <= 3.0) and elapsed < 60.0
     _report(
         1,
@@ -72,8 +72,7 @@ def test_criterion_2_convergence_from_point_mass():
     cfg = uniform_config(3, alpha=1.0, seed=4093)
     times = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
     plan = _plan(cfg, 8.0, times, 100_000, initial_state=State.point_mass(cfg, 0))
-    ens = run_ensemble(plan, keep_samples=True)
-    rep = convergence_report(ens, cfg)
+    rep = convergence_report(plan)
     tv = rep.tv[:, 0]
     slack = 3.0 * math.sqrt(2.0) * rep.baseline_tv_std[0]
     monotone = bool(np.all(np.diff(tv) <= slack))
@@ -272,9 +271,7 @@ def test_criterion_8_goods_factorize():
         endowments=[[1 / 3, 1 / 3]] * 3,
         seed=406,
     )
-    ens2 = run_ensemble(
-        _plan(cfg2, t_end, [t_end], n), keep_samples=True
-    )
+    two_samples = ensemble_samples(_plan(cfg2, t_end, [t_end], n))
     pvals = []
     for g in range(2):
         cfg1 = make_config(
@@ -283,11 +280,9 @@ def test_criterion_8_goods_factorize():
             endowments=[[1 / 3]] * 3,
             seed=406 + 1000 * (g + 1),
         )
-        ens1 = run_ensemble(_plan(cfg1, t_end, [t_end], n), keep_samples=True)
+        one_samples = ensemble_samples(_plan(cfg1, t_end, [t_end], n))
         for agent in range(3):
-            res = ks_2samp(
-                ens2.samples[0, :, agent, g], ens1.samples[0, :, agent, 0]
-            )
+            res = ks_2samp(two_samples[0, :, agent, g], one_samples[0, :, agent, 0])
             pvals.append(res.pvalue)
     ok = min(pvals) > 0.01
     _report(

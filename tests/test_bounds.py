@@ -495,6 +495,20 @@ def test_optimize_rate_stationarity():
         assert r <= rate * (1.0 + 5e-13)
 
 
+def test_optimize_rate_tau_star_ignores_last_bit_moves():
+    # A coefficient that moves in its last bits, as the rounded-down ladder
+    # does, must not move tau_star: the search stops where doubles still
+    # resolve the flat maximum, not where rounding noise decides.
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        c = math.exp(rng.uniform(math.log(1e-6), math.log(0.9)))
+        k_rate = math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
+        n = int(rng.integers(3, 31))
+        tau, _ = optimize_rate(c, k_rate, n)
+        for d in (1e-13, 2e-13, 5e-13, 1e-12):
+            assert optimize_rate(c * (1.0 - d), k_rate, n)[0] == tau
+
+
 def test_optimize_rate_flat_two_agent_profile():
     # coefficient 1 with two agents: every tau certifies rate == K, which
     # the rounded-down rate approaches from below

@@ -367,15 +367,27 @@ def test_run_exit_codes(tmp_path, monkeypatch, capsys):
     assert run(RunManifest("simulate", out, config_path=kac_cfg,
                            t_end=t_end, n_trajectories=1)) == 1
     assert f"x {rows} simulated" in capsys.readouterr().err
-    # few events but a sample array over the byte limit
+    # few events but one sample time of the ensemble over the byte limit
     wide = minimal_doc()
     wide["simulation"]["t_end"] = 1e-9
-    wide["simulation"]["sample_times"] = [0.0] * 3000
-    wide["simulation"]["n_trajectories"] = 200_000
+    wide["simulation"]["sample_times"] = [0.0]
+    wide["simulation"]["n_trajectories"] = 2 * 10**8  # 3.2 GB per slice
     wide_cfg = write_doc(tmp_path, wide, "wide.json")
     for command in ("simulate", "verify"):
         assert run(RunManifest(command, out, config_path=wide_cfg)) == 1
         assert "GiB" in capsys.readouterr().err
+    # many sample times of a small slice are not refused, however many
+    # bytes all of them would take together (3000 x 200k x 2 x 8 = 9.6 GB):
+    # the run starts, and the patched engine makes it exit 2
+    monkeypatch.setattr(cli, "convergence_report", boom)
+    long = minimal_doc()
+    long["simulation"]["t_end"] = 1e-9
+    long["simulation"]["sample_times"] = [0.0] * 3000
+    long["simulation"]["n_trajectories"] = 200_000
+    long_cfg = write_doc(tmp_path, long, "long.json")
+    for command in ("simulate", "verify"):
+        assert run(RunManifest(command, out, config_path=long_cfg)) == 2
+        assert "backend fell over" in capsys.readouterr().err
     # preset-kac caps the agents before building the rate matrix
     assert run(RunManifest("preset-kac", out,
                            agents=cli._MAX_PRESET_AGENTS + 1)) == 1

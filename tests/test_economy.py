@@ -141,9 +141,6 @@ def test_state_constructors():
     assert pm.holdings[1, 0] == 6.0 and pm.holdings[0, 0] == 0.0
     eq = State.equal_split(cfg)
     assert np.allclose(eq.holdings, 2.0)
-    cp = eq.copy()
-    cp.holdings[0, 0] = 0.0
-    assert eq.holdings[0, 0] == 2.0
 
 
 def test_check_state_errors():

@@ -14,6 +14,7 @@ from cdexchange import (
     State,
     check_state,
     derived_rng,
+    ensemble_states,
     marginal_ks,
     plan_digest,
     run_ensemble,
@@ -24,7 +25,7 @@ from cdexchange import simulate
 from cdexchange.economy import ConfigError
 from cdexchange.simulate import _BLOCK, _embedded_batch, _pair_table
 
-from util import KS_CRIT_1PCT, make_config, uniform_config
+from util import KS_CRIT_1PCT, ensemble_samples, make_config, uniform_config
 
 
 def small_plan(cfg, **kw):
@@ -242,20 +243,21 @@ def test_one_step_is_exact_pair_dirichlet():
 def test_single_trajectory_ensemble_matches():
     cfg = uniform_config(3, seed=17)
     plan = small_plan(cfg, n_trajectories=1)
-    ens = run_ensemble(plan, keep_samples=True)
+    ens = run_ensemble(plan)
     traj = simulate_trajectory(plan, 0)
     assert np.array_equal(ens.means, traj.holdings)
-    assert np.array_equal(ens.samples[:, 0], traj.holdings)
+    assert np.array_equal(ensemble_samples(plan)[:, 0], traj.holdings)
     assert ens.event_counts[0] == traj.n_events
 
 
 def test_ensemble_bit_identical_across_runs_and_workers():
     cfg = uniform_config(3, n_goods=2, seed=23)
     plan = small_plan(cfg, n_trajectories=600, initial_state="equilibrium")
-    base = run_ensemble(plan, keep_samples=True)
+    base = run_ensemble(plan)
+    samples = ensemble_samples(plan)
     for workers in (1, 2, 8):
-        again = run_ensemble(plan, keep_samples=True, workers=workers)
-        assert np.array_equal(base.samples, again.samples)
+        again = run_ensemble(plan, workers=workers)
+        assert np.array_equal(samples, ensemble_samples(plan, workers))
         assert np.array_equal(base.means, again.means)
         assert np.array_equal(base.variances, again.variances)
         assert np.array_equal(base.event_counts, again.event_counts)
@@ -266,27 +268,50 @@ def test_multi_block_ensemble():
     # three blocks, the last one partial
     cfg = uniform_config(3, n_goods=2, alpha=0.7, seed=29)
     plan = small_plan(cfg, n_trajectories=2 * _BLOCK + 3, initial_state="equilibrium")
-    base = run_ensemble(plan, keep_samples=True)
+    base = run_ensemble(plan)
+    samples = ensemble_samples(plan)
     for workers in (2, 8):
-        again = run_ensemble(plan, keep_samples=True, workers=workers)
-        assert np.array_equal(base.samples, again.samples)
+        again = run_ensemble(plan, workers=workers)
+        assert np.array_equal(samples, ensemble_samples(plan, workers))
         assert np.array_equal(base.means, again.means)
         assert np.array_equal(base.variances, again.variances)
         assert np.array_equal(base.event_counts, again.event_counts)
     for k in (2 * _BLOCK + 1, _BLOCK - 1):
         traj = simulate_trajectory(plan, k)
-        assert np.array_equal(traj.holdings, base.samples[:, k])
+        assert np.array_equal(traj.holdings, samples[:, k])
         assert traj.n_events == base.event_counts[k]
     # a smaller ensemble is a prefix of a larger one
-    short = run_ensemble(replace(plan, n_trajectories=_BLOCK + 1), keep_samples=True)
-    assert np.array_equal(short.samples, base.samples[:, : _BLOCK + 1])
+    short = ensemble_samples(replace(plan, n_trajectories=_BLOCK + 1))
+    assert np.array_equal(short, samples[:, : _BLOCK + 1])
+
+
+def test_ensemble_states_stop_at_the_last_sample_time(monkeypatch):
+    # The slices do not depend on t_end, and taking them runs no event
+    # after the last sample time; run_ensemble goes on to t_end for the
+    # event counts.
+    applied = []
+    encounters = simulate._encounters
+
+    def counted(h, rows, *args):
+        applied.append(rows.size)
+        encounters(h, rows, *args)
+
+    monkeypatch.setattr(simulate, "_encounters", counted)
+    cfg = uniform_config(3, n_goods=2, seed=31)
+    short = small_plan(cfg, t_end=1.0, sample_times=np.array([0.0, 0.5, 1.0]))
+    long = replace(short, t_end=50.0)
+    first = ensemble_samples(short)
+    n_short = sum(applied)
+    assert np.array_equal(first, ensemble_samples(long))
+    assert sum(applied) == 2 * n_short
+    events = run_ensemble(long).event_counts
+    assert sum(applied) - 2 * n_short > events.sum() > 40 * short.n_trajectories
 
 
 def test_ensemble_means_in_range():
     cfg = uniform_config(3, total=2.0, seed=3)
     plan = small_plan(cfg, n_trajectories=400)
     ens = run_ensemble(plan)
-    assert ens.samples is None
     assert (ens.means >= 0.0).all() and (ens.means <= 2.0).all()
     assert (ens.variances >= 0.0).all() and (ens.variances <= 4.0).all()
 
@@ -294,9 +319,11 @@ def test_ensemble_means_in_range():
 def test_ensemble_variances_match_numpy():
     cfg = uniform_config(3, n_goods=2, seed=4)
     plan = small_plan(cfg, n_trajectories=300, initial_state="equilibrium")
-    ens = run_ensemble(plan, keep_samples=True)
+    ens = run_ensemble(plan)
     assert ens.variances.shape == ens.means.shape
-    manual = np.var(ens.samples, axis=1, ddof=1)
+    samples = ensemble_samples(plan)
+    assert np.allclose(ens.means, samples.mean(axis=1), rtol=1e-12, atol=0.0)
+    manual = np.var(samples, axis=1, ddof=1)
     assert np.allclose(ens.variances, manual, rtol=1e-12, atol=0.0)
 
 
@@ -329,14 +356,14 @@ def test_transient_means_follow_exact_ode():
     n = 20_000
     plan = small_plan(cfg, t_end=2.5, sample_times=times, n_trajectories=n,
                       initial_state=State.point_mass(cfg, 0))
-    ens = run_ensemble(plan, keep_samples=True)
-    se = ens.samples.std(axis=1, ddof=1) / math.sqrt(n)
-    z = np.empty_like(ens.means)
+    means = run_ensemble(plan).means
+    se = ensemble_samples(plan).std(axis=1, ddof=1) / math.sqrt(n)
+    z = np.empty_like(means)
     for g in range(cfg.n_goods):
         gen = _mean_generator(cfg, g)
         start = State.point_mass(cfg, 0).holdings[:, g]
         exact = np.array([expm(gen * t) @ start for t in times])
-        z[:, :, g] = (ens.means[:, :, g] - exact) / se[:, :, g]
+        z[:, :, g] = (means[:, :, g] - exact) / se[:, :, g]
     # Bonferroni over every (time, agent, good) at family level 1e-4
     bound = norm.isf(1e-4 / (2 * z.size))
     assert np.abs(z).max() <= bound
@@ -351,11 +378,11 @@ def test_equilibrium_start_is_stationary():
         n_trajectories=3000,
         initial_state="equilibrium",
     )
-    ens = run_ensemble(plan, keep_samples=True)
+    samples = ensemble_samples(plan)
     # first vs last sample time: means agree within 3 two-sample sigmas
     for i in range(3):
-        a = ens.samples[0, :, i, 0]
-        b = ens.samples[1, :, i, 0]
+        a = samples[0, :, i, 0]
+        b = samples[1, :, i, 0]
         se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
         assert abs(a.mean() - b.mean()) <= 3.0 * se
 
@@ -367,14 +394,13 @@ def test_good_decoupling():
     plan2 = small_plan(
         two, t_end=2.0, sample_times=np.array([2.0]), n_trajectories=n
     )
-    ens2 = run_ensemble(plan2, keep_samples=True)
+    two_samples = ensemble_samples(plan2)
     for g in range(2):
         one = uniform_config(3, n_goods=1, alpha=2.0, seed=88 + 1000 * (g + 1))
         plan1 = small_plan(
             one, t_end=2.0, sample_times=np.array([2.0]), n_trajectories=n
         )
-        ens1 = run_ensemble(plan1, keep_samples=True)
-        res = ks_2samp(ens2.samples[0, :, 0, g], ens1.samples[0, :, 0, 0])
+        res = ks_2samp(two_samples[0, :, 0, g], ensemble_samples(plan1)[0, :, 0, 0])
         assert res.pvalue > 0.01
 
 
@@ -382,6 +408,8 @@ def test_workers_argument_validated():
     cfg = uniform_config(2)
     with pytest.raises(ValueError):
         run_ensemble(small_plan(cfg), workers=0)
+    with pytest.raises(ValueError):
+        ensemble_states(small_plan(cfg), workers=0)
 
 
 # ---------------------------------------------------------------- embedded

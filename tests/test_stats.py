@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from cdexchange import (
 )
 
 from cdexchange.simulate import _BLOCK
-from util import make_config, uniform_config
+from util import ensemble_samples, make_config, uniform_config
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -328,23 +329,20 @@ def test_moment_z_scores_errors():
 
 # ---------------------------------------------------------------- reports
 
-def _small_ensemble(initial_state, n_traj=800, times=(0.0, 1.0), seed=41):
-    cfg = uniform_config(3, seed=seed)
-    plan = validate_plan(
+def _small_plan(initial_state, n_traj=800, times=(0.0, 1.0), seed=41, n_goods=1):
+    return validate_plan(
         SimulationPlan(
-            cfg=cfg,
+            cfg=uniform_config(3, n_goods=n_goods, seed=seed),
             t_end=float(times[-1]),
             sample_times=np.array(times, dtype=float),
             n_trajectories=n_traj,
             initial_state=initial_state,
         )
     )
-    return cfg, run_ensemble(plan, keep_samples=True)
 
 
 def test_convergence_report_at_equilibrium():
-    cfg, ens = _small_ensemble("equilibrium")
-    rep = convergence_report(ens, cfg)
+    rep = convergence_report(_small_plan("equilibrium"))
     bound = rep.baseline_tv_mean + np.maximum(6.0 * rep.baseline_tv_std, 0.06)
     assert (rep.tv <= bound[None, :]).all()
     assert (rep.ks_pvalue > 1e-4).all()
@@ -355,8 +353,7 @@ def test_convergence_report_at_equilibrium():
 def test_convergence_report_flags_point_mass():
     # at t=0 every trajectory sits on the same deterministic point, so the
     # empirical law is a point mass however the endowments are placed
-    cfg, ens = _small_ensemble("endowments", times=(0.0, 2.0))
-    rep = convergence_report(ens, cfg)
+    rep = convergence_report(_small_plan("endowments", times=(0.0, 2.0)))
     assert rep.tv[0, 0] > 0.9          # t=0 degenerate vs stationary
     assert rep.ks_pvalue[0].max() < 1e-6
     assert rep.max_moment_z[0] > 10.0
@@ -378,40 +375,41 @@ def test_convergence_report_ks_matches_plain_marginal_ks(initial_state, n_traj):
         seed=17,
     )
     times = np.array([0.0, 0.02, 0.05, 0.05, 0.3, 1.0])
-    ens = run_ensemble(
-        validate_plan(SimulationPlan(cfg, 1.0, times, n_traj, initial_state)),
-        keep_samples=True,
-    )
-    rep = convergence_report(ens, cfg)
+    plan = SimulationPlan(cfg, 1.0, times, n_traj, initial_state)
+    samples = ensemble_samples(plan)
+    rep = convergence_report(plan)
     for g in range(cfg.n_goods):
         spec = good_spec(cfg, g)
         for t in range(times.size):
             for i in range(cfg.n_agents):
-                res = marginal_ks(ens.samples[t, :, i, g], spec.alphas[i],
+                res = marginal_ks(samples[t, :, i, g], spec.alphas[i],
                                   spec.exponent_sum, spec.total)
                 assert rep.ks_statistic[t, i, g] == res.statistic
                 assert rep.ks_pvalue[t, i, g] == res.pvalue
+    if n_traj > _BLOCK:
+        assert convergence_report(plan, workers=2).to_json_dict() == rep.to_json_dict()
 
 
-def test_convergence_report_needs_samples():
-    cfg = uniform_config(2, seed=1)
-    plan = validate_plan(
-        SimulationPlan(
-            cfg=cfg,
-            t_end=1.0,
-            sample_times=np.array([1.0]),
-            n_trajectories=40,
-        )
-    )
-    ens = run_ensemble(plan)
-    with pytest.raises(ValueError):
-        convergence_report(ens, cfg)
+@pytest.mark.parametrize("consume", [run_ensemble, convergence_report])
+def test_memory_does_not_grow_with_sample_times(consume):
+    # A run holds a few slices of the ensemble, never one per sample time.
+    def peak(n_times):
+        plan = _small_plan("equilibrium", n_traj=2048, n_goods=2,
+                           times=np.linspace(0.0, 1.0, n_times))
+        tracemalloc.start()
+        try:
+            consume(plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    consume(_small_plan("equilibrium", n_traj=40))  # first-call imports
+    assert peak(200) <= 1.5 * peak(2)
 
 
 def test_convergence_report_json_matches_schema():
     jsonschema = pytest.importorskip("jsonschema")
-    cfg, ens = _small_ensemble("equilibrium", n_traj=120, times=(0.0, 0.5))
-    rep = convergence_report(ens, cfg)
+    rep = convergence_report(_small_plan("equilibrium", n_traj=120, times=(0.0, 0.5)))
     payload = rep.to_json_dict()
     schema = json.loads((SCHEMA_DIR / "convergence_report.schema.json").read_text())
     jsonschema.validate(payload, schema)
@@ -420,13 +418,13 @@ def test_convergence_report_json_matches_schema():
 
 
 def test_convergence_report_csv_round_trip(tmp_path):
-    cfg, ens = _small_ensemble("equilibrium", n_traj=120, times=(0.0, 0.5))
-    rep = convergence_report(ens, cfg)
+    plan = _small_plan("equilibrium", n_traj=120, times=(0.0, 0.5))
+    rep = convergence_report(plan)
     path = tmp_path / "conv.csv"
     rep.write_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# plan_digest: ")
-    assert lines[1] == f"# seed: {cfg.seed}"
+    assert lines[1] == f"# seed: {plan.cfg.seed}"
     rows = list(csv.reader(lines[2:]))
     header, data = rows[0], rows[1:]
     assert header[0] == "sample_time"

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cdexchange import EconomyConfig, validate_config
+from cdexchange import EconomyConfig, ensemble_states, validate_config
 
 
 def uniform_config(n_agents, n_goods=1, alpha=1.0, seed=0, total=1.0, rate=1.0):
@@ -33,6 +33,11 @@ def make_config(rates, exponents, endowments, seed=0):
             seed=seed,
         )
     )
+
+
+def ensemble_samples(plan, workers=1):
+    """The ensemble's holdings at every sample time, shape (T, n, N, M)."""
+    return np.stack(list(ensemble_states(plan, workers=workers)))
 
 
 # Two-sided KS critical value at the 1% level (asymptotic), divided by sqrt(n).
