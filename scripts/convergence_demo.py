@@ -11,10 +11,12 @@ import argparse
 import numpy as np
 
 from cdexchange import (
+    ConvergenceTally,
     EconomyConfig,
     SimulationPlan,
     State,
     convergence_report,
+    run_ensemble,
     validate_config,
 )
 
@@ -53,7 +55,9 @@ def main() -> None:
         n_trajectories=args.trajectories,
         initial_state=State.point_mass(cfg, 0),
     )
-    rep = convergence_report(plan, workers=args.workers)
+    tally = ConvergenceTally(plan)
+    run_ensemble(tally.plan, workers=args.workers, each=tally.add)
+    rep = convergence_report(tally)
 
     floor = rep.baseline_tv_mean[0]
     print(f"agents={args.agents} trajectories={args.trajectories} "

@@ -30,7 +30,7 @@ from .economy import (
     validate_config,
 )
 from .simulate import _BLOCK, SimulationPlan, run_ensemble, validate_plan
-from .stats import _MIN_KS_SAMPLES, convergence_report
+from .stats import _MIN_KS_SAMPLES, ConvergenceTally, convergence_report
 
 __all__ = [
     "ParseError",
@@ -64,7 +64,7 @@ class ValidationError(ValueError):
 # runs that could not finish in reasonable time or memory, and presets
 # whose N x N rate matrix would be a huge nested list.
 _MAX_EVENTS = 1e9
-_MAX_SAMPLE_BYTES = 2 * 2**30
+_MAX_RUN_BYTES = 2 * 2**30
 _MAX_PRESET_AGENTS = 1000
 
 _TOP_KEYS = {"economy", "simulation"}
@@ -322,9 +322,20 @@ def _apply_overrides(manifest, cfg, plan):
     return cfg, plan
 
 
-def _preflight(plan):
-    """Refuse a plan whose expected event count or one-sample-time slice
-    of the ensemble exceeds its limit, before any of it runs."""
+def _bytes_per_row(cfg, command):
+    """Bytes a run holds at its peak per simulated trajectory.  In 8-byte
+    values, with S = N*M holdings: the live ensemble and a temporary copy
+    of it (2S) and each row's clock and event count (3); for ``verify``
+    also the previous sample time, the Beta CDF of every holding (2S) and
+    one good's statistics (3N).  None of it grows with the number of
+    sample times; a tracemalloc test holds runs to it."""
+    s = cfg.n_agents * cfg.n_goods
+    return 8 * (2 * s + 3 if command == "simulate" else 4 * s + 3 * cfg.n_agents + 3)
+
+
+def _preflight(plan, command):
+    """Refuse a plan whose expected event count or peak memory exceeds
+    its limit, before any of it runs."""
     cfg = plan.cfg
     # every block simulates all _BLOCK rows, however few of them are kept
     rows = -(-plan.n_trajectories // _BLOCK) * _BLOCK
@@ -335,12 +346,11 @@ def _preflight(plan):
             f"simulated trajectories), over the limit of {_MAX_EVENTS:.3g}",
             path="simulation",
         )
-    nbytes = plan.n_trajectories * cfg.n_agents * cfg.n_goods * 8
-    if nbytes > _MAX_SAMPLE_BYTES:
+    nbytes = _bytes_per_row(cfg, command) * rows
+    if nbytes > _MAX_RUN_BYTES:
         raise ValidationError(
-            f"one sample time of the ensemble would take {nbytes / 2**30:.3g} GiB "
-            f"(trajectories x agents x goods x 8 bytes), over the "
-            f"limit of {_MAX_SAMPLE_BYTES / 2**30:.3g} GiB",
+            f"{command} would hold {nbytes / 2**30:.3g} GiB at its peak ({rows} "
+            f"simulated trajectories), over the limit of {_MAX_RUN_BYTES / 2**30:.3g} GiB",
             path="simulation",
         )
 
@@ -380,7 +390,7 @@ def _dispatch(manifest: RunManifest) -> int:
             f"{manifest.command} needs a 'simulation' section in the config",
             path="simulation",
         )
-    _preflight(plan)
+    _preflight(plan, manifest.command)
 
     if manifest.command == "simulate":
         ens = run_ensemble(plan, workers=manifest.workers)
@@ -397,7 +407,9 @@ def _dispatch(manifest: RunManifest) -> int:
             path="trajectories" if manifest.n_trajectories is not None
             else "simulation.n_trajectories",
         )
-    report = convergence_report(plan, workers=manifest.workers)
+    tally = ConvergenceTally(plan)
+    run_ensemble(tally.plan, workers=manifest.workers, each=tally.add)
+    report = convergence_report(tally)
     if manifest.fmt in ("csv", "both"):
         report.write_csv(os.path.join(out, "convergence.csv"))
     if manifest.fmt in ("json", "both"):

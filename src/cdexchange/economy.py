@@ -352,7 +352,9 @@ def sample_dirichlet(spec: DirichletSpec, rng: np.random.Generator, size: int) -
         zero = s == 0.0
         x[zero] = rng.standard_gamma(spec.alphas, size=(int(zero.sum()), spec.alphas.size))
         s = x.sum(axis=1)
-    return spec.total * (x / s[:, None])
+    x /= s[:, None]
+    x *= spec.total
+    return x
 
 
 def config_digest(cfg: EconomyConfig) -> str:

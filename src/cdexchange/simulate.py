@@ -7,10 +7,13 @@ probability ``rates[i, j] / K`` from a precomputed alias table.
 Trajectories run in fixed blocks of ``_BLOCK`` rows that advance to one
 sample time after another: each step applies an encounter to every row
 whose next event is due, with one vectorized draw each for the pairs,
-the Beta fractions and the next waiting times, and then the block *is*
-that time's snapshot.  The ensemble streams out one slice per sample
-time.  Block ``b`` owns one PCG64 stream spawned from ``(config seed, 0,
-b)``, so results are bit-identical for any number of worker threads.
+the Beta fractions and the next waiting times.  Every block advances its
+own rows of one shared (n, N, M) array, so once all blocks reach a sample
+time that array *is* the ensemble's snapshot: :func:`run_ensemble` hands
+it to a caller's per-slice consumer and folds it into moments, and no
+run holds more than that one live slice of the ensemble.  Block ``b``
+owns one PCG64 stream spawned from ``(config seed, 0, b)``, so results
+are bit-identical for any number of worker threads.
 The embedded (clock-free) chain is the same step without the clock.
 """
 
@@ -47,7 +50,6 @@ __all__ = [
     "derived_rng",
     "validate_plan",
     "simulate_trajectory",
-    "ensemble_states",
     "run_ensemble",
     "plan_digest",
 ]
@@ -186,19 +188,17 @@ class Trajectory:
     seed_used: int
 
 
-def _initial_block(plan: SimulationPlan, rng: np.random.Generator) -> np.ndarray:
-    """Starting holdings of a block, shape (_BLOCK, N, M)."""
+def _initial_block(plan: SimulationPlan, rng: np.random.Generator, h: np.ndarray) -> None:
+    """Fill a block's (_BLOCK, N, M) holdings ``h`` with its starting state."""
     cfg = plan.cfg
     init = plan.initial_state
-    shape = (_BLOCK, cfg.n_agents, cfg.n_goods)
     if isinstance(init, State):
-        return np.array(np.broadcast_to(init.holdings, shape), dtype=float)
-    if init == "endowments":
-        return np.array(np.broadcast_to(cfg.endowments, shape), dtype=float)
-    h = np.empty(shape)
-    for m in range(cfg.n_goods):
-        h[:, :, m] = sample_dirichlet(good_spec(cfg, m), rng, size=_BLOCK)
-    return h
+        h[...] = init.holdings
+    elif init == "endowments":
+        h[...] = cfg.endowments
+    else:
+        for m in range(cfg.n_goods):
+            h[:, :, m] = sample_dirichlet(good_spec(cfg, m), rng, size=_BLOCK)
 
 
 def _encounters(h, rows, table, exponents, rng):
@@ -219,15 +219,16 @@ def _block_seed(cfg: EconomyConfig, block: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_NS_TRAJECTORY, block))
 
 
-def _block_states(plan, block, table):
-    """Advance one block to each sample time, then to ``t_end``, yielding
-    its live (_BLOCK, N, M) holdings and per-row event counts at each
-    stop.  A snapshot at ``s`` takes every event at or before ``s``.
-    Every row runs, so a row is the same whatever the ensemble size."""
+def _block_states(plan, block, table, h, n_events):
+    """Advance one block to each sample time, then to ``t_end``, in place:
+    ``h`` holds its (_BLOCK, N, M) holdings and ``n_events`` its per-row
+    event counts, and the generator yields once at each stop.  A snapshot
+    at ``s`` takes every event at or before ``s``.  Every row runs, so a
+    row is the same whatever the ensemble size."""
     cfg = plan.cfg
     rng = np.random.Generator(np.random.PCG64(_block_seed(cfg, block)))
-    h = _initial_block(plan, rng)
-    n_events = np.zeros(_BLOCK, dtype=np.int64)
+    _initial_block(plan, rng, h)
+    n_events[:] = 0
     t_next = rng.standard_exponential(_BLOCK) / cfg.total_rate
     for t in (*plan.sample_times, plan.t_end):
         rows = np.flatnonzero(t_next <= t)
@@ -236,55 +237,48 @@ def _block_states(plan, block, table):
             n_events[rows] += 1
             t_next[rows] += rng.standard_exponential(rows.size) / cfg.total_rate
             rows = rows[t_next[rows] <= t]
-        yield h, n_events
+        yield
 
 
 def _stops(plan, workers):
-    """The ensemble's holdings (n, N, M) and event counts (n,) at each
-    sample time, then at ``t_end``, as fresh arrays.  ``workers`` threads
-    advance whole blocks, one ``next()`` per block per stop."""
+    """The ensemble's live holdings (n, N, M) and event counts (n,) at
+    each sample time, then at ``t_end``: views of the arrays whose rows
+    the blocks advance.  ``workers`` threads advance whole blocks, one
+    ``next()`` per block per stop."""
+    cfg = plan.cfg
     n = plan.n_trajectories
     n_blocks = -(-n // _BLOCK)
-    table = _pair_table(plan.cfg)
-    blocks = [_block_states(plan, b, table) for b in range(n_blocks)]
+    h = np.empty((n_blocks, _BLOCK, cfg.n_agents, cfg.n_goods))
+    n_events = np.empty((n_blocks, _BLOCK), dtype=np.int64)
+    table = _pair_table(cfg)
+    blocks = [_block_states(plan, b, table, h[b], n_events[b]) for b in range(n_blocks)]
+    snapshot = h.reshape(-1, cfg.n_agents, cfg.n_goods)[:n]
+    snapshot.setflags(write=False)  # consumers read the live ensemble, never write it
     workers = min(workers, n_blocks)
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         step = pool.map if pool else map
         for _ in range(plan.sample_times.size + 1):
-            stop = list(step(next, blocks))
-            yield (np.concatenate([h for h, _ in stop])[:n],
-                   np.concatenate([e for _, e in stop])[:n])
-
-
-def ensemble_states(plan: SimulationPlan, *, workers: int = 1):
-    """Iterator over the ensemble's holdings at each sample time in
-    order, one fresh (n_trajectories, N, M) array per time.  Events after
-    the last sample time never run.  Row ``k`` is trajectory ``k`` of
-    :func:`simulate_trajectory`, and the slices are bit-identical for any
-    ``workers``."""
-    plan = validate_plan(plan)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    stops = _stops(plan, workers)
-    return (next(stops)[0] for _ in plan.sample_times)
+            list(step(next, blocks))
+            yield snapshot, n_events.reshape(-1)[:n]
 
 
 def simulate_trajectory(plan: SimulationPlan, trajectory_index: int) -> Trajectory:
     """Run one trajectory: row ``trajectory_index % _BLOCK`` of block
     ``trajectory_index // _BLOCK``, the same row :func:`run_ensemble`
-    and :func:`ensemble_states` use.  Deterministic given (cfg.seed,
-    trajectory_index)."""
+    uses.  Deterministic given (cfg.seed, trajectory_index)."""
     plan = validate_plan(plan)
     if not isinstance(trajectory_index, (int, np.integer)) or trajectory_index < 0:
         raise ValueError("trajectory_index must be a non-negative integer")
     cfg = plan.cfg
     block, row = divmod(int(trajectory_index), _BLOCK)
-    stops = [(h[row].copy(), int(e[row]))
-             for h, e in _block_states(plan, block, _pair_table(cfg))]
+    h = np.empty((_BLOCK, cfg.n_agents, cfg.n_goods))
+    n_events = np.empty(_BLOCK, dtype=np.int64)
+    snaps = [h[row].copy()
+             for _ in _block_states(plan, block, _pair_table(cfg), h, n_events)]
     seed_used = int(_block_seed(cfg, block).generate_state(1, dtype=np.uint64)[0])
-    return Trajectory(plan.sample_times, np.stack([h for h, _ in stops[:-1]]),
-                      stops[-1][1], seed_used)
+    return Trajectory(plan.sample_times, np.stack(snaps[:-1]),
+                      int(n_events[row]), seed_used)
 
 
 @dataclass
@@ -300,12 +294,18 @@ class EnsembleStats:
     plan_digest: str
 
 
-def run_ensemble(plan: SimulationPlan, *, workers: int = 1) -> EnsembleStats:
+def run_ensemble(plan: SimulationPlan, *, workers: int = 1, each=None) -> EnsembleStats:
     """Simulate ``plan.n_trajectories`` independent trajectories and fold
     them, one sample time at a time, into per-time means and variances,
-    plus each trajectory's event count up to ``t_end``.  Memory does not
-    grow with the number of sample times, and the result is bit-identical
-    for any ``workers``."""
+    plus each trajectory's event count up to ``t_end``.
+
+    ``each``, if given, is called as ``each(k, holdings)`` at sample time
+    ``k`` with the ensemble's (n_trajectories, N, M) holdings, in order.
+    The array is the live ensemble, read-only: it changes once the call
+    returns, so a caller that keeps a slice copies it.  Memory does not grow with the
+    number of sample times, and everything is bit-identical for any
+    ``workers``.
+    """
     plan = validate_plan(plan)
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -317,9 +317,13 @@ def run_ensemble(plan: SimulationPlan, *, workers: int = 1) -> EnsembleStats:
     stops = _stops(plan, workers)
     for k in range(n_times):
         h, _ = next(stops)
+        if each is not None:
+            each(k, h)
         means[k] = h.mean(axis=0)
+        dev = h - means[k]
         with np.errstate(invalid="ignore", divide="ignore"):
-            variances[k] = ((h - means[k]) ** 2).sum(axis=0) / (n_traj - 1)
+            variances[k] = np.square(dev, out=dev).sum(axis=0) / (n_traj - 1)
+        del dev  # gone before the next slice's consumer runs
     _, events = next(stops)  # at t_end
     return EnsembleStats(
         sample_times=plan.sample_times,

@@ -8,8 +8,10 @@ Three instruments, all aimed at the product-Dirichlet target:
   which is a consistent estimator of TV over the binned algebra and
   therefore a lower bound on the true total variation.
 
-:func:`convergence_report` takes the ensemble one sample time at a time
-and keeps the Beta CDF value of every holding from one time to the next:
+A :class:`ConvergenceTally` takes the ensemble one sample time at a time,
+as :func:`run_ensemble <cdexchange.simulate.run_ensemble>` reaches it, and
+:func:`convergence_report` completes the report from the tally.  The
+tally keeps the Beta CDF value of every holding from one time to the next:
 ``betainc`` runs again only on the holdings that changed since the
 previous sample time (most trajectories see no event between two close
 sample times).  Each value is the same elementwise computation that a
@@ -26,18 +28,12 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .economy import DirichletSpec, good_spec, sample_dirichlet
-from .simulate import (
-    SimulationPlan,
-    derived_rng,
-    ensemble_states,
-    plan_digest,
-    validate_plan,
-)
+from .simulate import SimulationPlan, derived_rng, plan_digest, validate_plan
 
 __all__ = [
     "EmptySample",
@@ -52,6 +48,7 @@ __all__ = [
     "binned_tv",
     "moment_z_scores",
     "ConvergenceReport",
+    "ConvergenceTally",
     "convergence_report",
 ]
 
@@ -203,8 +200,10 @@ def _as_points(samples) -> np.ndarray:
 
 def _bin_indices(x, binning):
     width = (binning.upper - binning.lower) / binning.bins
-    idx = np.floor((x - binning.lower) / width).astype(np.int64)
-    return np.clip(idx, 0, binning.bins - 1)
+    pos = x - binning.lower
+    pos /= width
+    idx = np.floor(pos, out=pos).astype(np.int64)
+    return np.clip(idx, 0, binning.bins - 1, out=idx)
 
 
 def binned_tv(samples_a, samples_b, binning: HistogramBinning) -> float:
@@ -222,26 +221,26 @@ def binned_tv(samples_a, samples_b, binning: HistogramBinning) -> float:
         raise BinningMismatch(
             f"samples have {a.shape[1]} and {b.shape[1]} coordinates, binning has {d}"
         )
-    ia = _bin_indices(a, binning)
-    ib = _bin_indices(b, binning)
-    if binning.mode == "marginal":
-        best = 0.0
-        for c in range(d):
-            pa = np.bincount(ia[:, c], minlength=binning.bins) / a.shape[0]
-            pb = np.bincount(ib[:, c], minlength=binning.bins) / b.shape[0]
-            best = max(best, 0.5 * float(np.abs(pa - pb).sum()))
-        return best
-    n_cells = binning.bins**d
-    if n_cells > 16_000_000:
+    if binning.mode == "joint" and binning.bins**d > 16_000_000:
         raise BinningMismatch(
             "joint binning would need too many cells; use mode='marginal'"
         )
-    dims = (binning.bins,) * d
-    fa = np.ravel_multi_index(ia.T, dims)
-    fb = np.ravel_multi_index(ib.T, dims)
-    pa = np.bincount(fa, minlength=n_cells) / a.shape[0]
-    pb = np.bincount(fb, minlength=n_cells) / b.shape[0]
-    return 0.5 * float(np.abs(pa - pb).sum())
+    diff = np.abs(_cell_shares(a, binning) - _cell_shares(b, binning))
+    return 0.5 * float(diff.sum(axis=1).max())
+
+
+def _cell_shares(x, binning):
+    """Share of the points ``x`` in each cell: one row per coordinate in
+    marginal mode, one row over the whole grid in joint mode."""
+    idx = _bin_indices(x, binning)
+    if binning.mode == "marginal":
+        counts = [np.bincount(col, minlength=binning.bins) for col in idx.T]
+        return np.array(counts) / x.shape[0]
+    flat = idx[:, 0].copy()  # row-major cell number
+    for c in range(1, binning.n_coords):
+        flat *= binning.bins
+        flat += idx[:, c]
+    return np.bincount(flat, minlength=binning.bins**binning.n_coords)[None] / x.shape[0]
 
 
 def _z(diff, se):
@@ -261,32 +260,34 @@ def moment_z_scores(points, spec: DirichletSpec) -> np.ndarray:
     t_mean, t_cov = dirichlet_moments(spec)
     # One row per coordinate, so that every reduction runs over a
     # contiguous row and sums exactly as it would over that one column.
-    xt = np.ascontiguousarray(x.T)
-    ct = np.ascontiguousarray((x - x.mean(axis=0)).T)
-    iu, ju = np.triu_indices(d, 1)
-    cov_diff = np.empty(iu.size)
-    cov_se = np.empty(iu.size)
+    ct = np.ascontiguousarray(x.T)
+    mean_diff = ct.mean(axis=1) - t_mean
+    ct -= x.mean(axis=0)[:, None]
+    cov_diff = []
+    cov_se = []
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_diff = xt.mean(axis=1) - t_mean
         mean_se = ct.std(axis=1, ddof=1) / math.sqrt(n)
         sq = ct**2
         v = sq.sum(axis=1) / (n - 1)
         # (c^2)^2, not c**4: numpy's power is 10-20x slower on negative
         # bases, and the two differ by at most an ulp or so.
-        m4 = (sq * sq).mean(axis=1)
+        np.square(sq, out=sq)
+        m4 = sq.mean(axis=1)
+        del sq
         var_se = np.sqrt(np.maximum(m4 - v * v, 0.0) / n)
-        # At most d pairs at a time: the products never outgrow the points.
-        for lo in range(0, iu.size, d):
-            i, j = iu[lo:lo + d], ju[lo:lo + d]
-            p = ct[i] * ct[j]
+        # The pairs (i, j > i) of one i at a time, in upper-triangle
+        # order: the products never outgrow the points.
+        for i in range(d - 1):
+            p = ct[i] * ct[i + 1:]
             cv = p.sum(axis=1) / (n - 1)
-            m22 = (p**2).mean(axis=1)
-            cov_se[lo:lo + d] = np.sqrt(np.maximum(m22 - cv * cv, 0.0) / n)
-            cov_diff[lo:lo + d] = cv - t_cov[i, j]
+            np.square(p, out=p)
+            m22 = p.mean(axis=1)
+            cov_se.append(np.sqrt(np.maximum(m22 - cv * cv, 0.0) / n))
+            cov_diff.append(cv - t_cov[i, i + 1:])
         return np.concatenate([
             _z(mean_diff, mean_se),
             _z(v - np.diag(t_cov), var_se),
-            _z(cov_diff, cov_se),
+            _z(np.concatenate(cov_diff), np.concatenate(cov_se)),
         ])
 
 
@@ -354,76 +355,104 @@ class ConvergenceReport:
                 w.writerow(row)
 
 
-def convergence_report(plan: SimulationPlan, *, workers: int = 1) -> ConvergenceReport:
-    """Simulate the plan's ensemble and compare its snapshots against the
-    exact stationary law.
+class ConvergenceTally:
+    """The per-sample-time part of a convergence report, taken while a
+    plan's ensemble streams past::
 
-    The slices stream from :func:`ensemble_states` and only the previous
-    one is kept; the report is the same for any ``workers``.  Each good
-    is binned by :func:`default_binning`.  The TV reference at each (time, good) is a
-    fresh stationary sample of equal size from a dedicated stream, and the
-    reported baseline is the mean/std of the binned TV between 8 pairs of
-    independent stationary samples (the estimator's noise floor).
+        tally = ConvergenceTally(plan)
+        run_ensemble(tally.plan, each=tally.add)
+        report = convergence_report(tally)
+
+    ``tally.plan`` is ``plan`` cut at its last sample time, after which
+    the report reads nothing.  The tally keeps the previous sample time's
+    holdings and their Beta CDF values.  Each good is binned by
+    :func:`default_binning`; the TV reference at each (time, good) is a
+    fresh stationary sample of equal size from a dedicated stream.
     """
-    plan = validate_plan(plan)
-    cfg = plan.cfg
-    t_cnt = plan.sample_times.size
-    n_samples, n, m = plan.n_trajectories, cfg.n_agents, cfg.n_goods
-    specs = [good_spec(cfg, g) for g in range(m)]
 
-    max_z = np.empty(t_cnt)
-    ks_stat = np.empty((t_cnt, n, m))
-    ks_p = np.empty((t_cnt, n, m))
-    tv = np.empty((t_cnt, m))
-    binnings = [default_binning(n_samples, np.full(n, spec.total)) for spec in specs]
-    # Marginal CDF of every holding, carried from one sample time to the next.
-    cdf = np.empty((m, n, n_samples))
-    prev = None
-    for t, raw in enumerate(ensemble_states(plan, workers=workers)):
-        for g, spec in enumerate(specs):
+    def __init__(self, plan: SimulationPlan):
+        plan = validate_plan(plan)
+        self.plan_digest = plan_digest(plan)
+        self.plan = replace(plan, t_end=float(plan.sample_times[-1]))
+        cfg = plan.cfg
+        t_cnt = plan.sample_times.size
+        n_samples, n, m = plan.n_trajectories, cfg.n_agents, cfg.n_goods
+        self.specs = [good_spec(cfg, g) for g in range(m)]
+        self.binnings = [default_binning(n_samples, np.full(n, spec.total))
+                         for spec in self.specs]
+        self.count = 0
+        self.max_z = np.empty(t_cnt)
+        self.ks_stat = np.empty((t_cnt, n, m))
+        self.ks_p = np.empty((t_cnt, n, m))
+        self.tv = np.empty((t_cnt, m))
+        self._cdf = np.empty((m, n, n_samples))
+        self._prev = np.empty((n_samples, n, m))
+
+    def add(self, t: int, holdings) -> None:
+        """Take sample time ``t``'s (n_trajectories, N, M) holdings; the
+        times must come in order."""
+        if t != self.count:
+            raise ValueError(f"expected sample time {self.count}, got {t}")
+        for g, spec in enumerate(self.specs):
             betas = spec.exponent_sum - spec.alphas
-            pts = raw[:, :, g]
-            ref_rng = derived_rng(cfg.seed, _NS_REFERENCE, t, g)
-            ref = sample_dirichlet(spec, ref_rng, size=n_samples)
-            tv[t, g] = binned_tv(pts, ref, binnings[g])
-            for i in range(n):
+            pts = holdings[:, :, g]
+            rng = derived_rng(self.plan.cfg.seed, _NS_REFERENCE, t, g)
+            self.tv[t, g] = binned_tv(pts, sample_dirichlet(spec, rng, size=pts.shape[0]),
+                                      self.binnings[g])
+            for i in range(pts.shape[1]):
                 x = pts[:, i]
-                redo = slice(None) if prev is None else np.flatnonzero(x != prev[:, i, g])
-                cdf[g, i, redo] = _beta_cdf(spec.alphas[i], betas[i], x[redo], spec.total)
-                res = marginal_ks(
-                    x, spec.alphas[i], spec.exponent_sum, spec.total, cdf=cdf[g, i]
-                )
-                ks_stat[t, i, g] = res.statistic
-                ks_p[t, i, g] = res.pvalue
-        max_z[t] = max(
-            np.abs(moment_z_scores(raw[:, :, g], specs[g])).max() for g in range(m)
-        )
-        prev = raw
+                redo = slice(None) if t == 0 else np.flatnonzero(x != self._prev[:, i, g])
+                self._cdf[g, i, redo] = _beta_cdf(spec.alphas[i], betas[i], x[redo],
+                                                  spec.total)
+                res = marginal_ks(x, spec.alphas[i], spec.exponent_sum, spec.total,
+                                  cdf=self._cdf[g, i])
+                self.ks_stat[t, i, g] = res.statistic
+                self.ks_p[t, i, g] = res.pvalue
+        self.max_z[t] = max(np.abs(moment_z_scores(holdings[:, :, g], spec)).max()
+                            for g, spec in enumerate(self.specs))
+        np.copyto(self._prev, holdings)
+        self.count += 1
 
+
+def convergence_report(tally: ConvergenceTally) -> ConvergenceReport:
+    """Compare a plan's ensemble against the exact stationary law, from a
+    tally that has taken every sample time (see :class:`ConvergenceTally`).
+
+    The reported baseline is the mean/std of the binned TV between 8
+    pairs of independent stationary samples (the estimator's noise
+    floor).  The report is the same for any ``workers`` of the run that
+    filled the tally.
+    """
+    plan = tally.plan
+    if tally.count != plan.sample_times.size:
+        raise ValueError(f"the tally has taken {tally.count} of "
+                         f"{plan.sample_times.size} sample times")
+    cfg = plan.cfg
+    n_samples, m = plan.n_trajectories, cfg.n_goods
     base_mean = np.empty(m)
     base_std = np.empty(m)
     for g in range(m):
         reps = []
         for r in range(_BASELINE_REPLICATES):
             rng = derived_rng(cfg.seed, _NS_BASELINE, r, g)
-            sa = sample_dirichlet(specs[g], rng, size=n_samples)
-            sb = sample_dirichlet(specs[g], rng, size=n_samples)
-            reps.append(binned_tv(sa, sb, binnings[g]))
+            sa = sample_dirichlet(tally.specs[g], rng, size=n_samples)
+            sb = sample_dirichlet(tally.specs[g], rng, size=n_samples)
+            reps.append(binned_tv(sa, sb, tally.binnings[g]))
         base_mean[g] = float(np.mean(reps))
         base_std[g] = float(np.std(reps, ddof=1))
 
     return ConvergenceReport(
         sample_times=plan.sample_times,
         n_trajectories=n_samples,
-        max_moment_z=max_z,
-        ks_statistic=ks_stat,
-        ks_pvalue=ks_p,
-        tv=tv,
+        max_moment_z=tally.max_z,
+        ks_statistic=tally.ks_stat,
+        ks_pvalue=tally.ks_p,
+        tv=tally.tv,
         baseline_tv_mean=base_mean,
         baseline_tv_std=base_std,
         baseline_replicates=_BASELINE_REPLICATES,
-        bins_per_coordinate=np.array([b.bins for b in binnings], dtype=np.int64),
-        binning_modes=[b.mode for b in binnings],
-        plan_digest=plan_digest(plan),
+        bins_per_coordinate=np.array([b.bins for b in tally.binnings], dtype=np.int64),
+        binning_modes=[b.mode for b in tally.binnings],
+        plan_digest=tally.plan_digest,
         seed=cfg.seed,
     )

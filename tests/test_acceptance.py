@@ -15,7 +15,6 @@ from cdexchange import (
     RunManifest,
     SimulationPlan,
     State,
-    convergence_report,
     density_ratio_floor,
     derived_rng,
     gamma_ratio_floor,
@@ -29,7 +28,7 @@ from cdexchange import (
 from cdexchange.bounds import minorization_mass
 from cdexchange.simulate import _embedded_batch, _pair_table
 
-from util import ensemble_samples, make_config, uniform_config
+from util import ensemble_samples, make_config, report_of, uniform_config
 
 
 def _report(num, ok, detail):
@@ -72,7 +71,7 @@ def test_criterion_2_convergence_from_point_mass():
     cfg = uniform_config(3, alpha=1.0, seed=4093)
     times = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
     plan = _plan(cfg, 8.0, times, 100_000, initial_state=State.point_mass(cfg, 0))
-    rep = convergence_report(plan)
+    rep = report_of(plan)
     tv = rep.tv[:, 0]
     slack = 3.0 * math.sqrt(2.0) * rep.baseline_tv_std[0]
     monotone = bool(np.all(np.diff(tv) <= slack))

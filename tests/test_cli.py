@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdexchange import cli
+from cdexchange import SimulationPlan, cli, run_ensemble, validate_plan
 from cdexchange.cli import (
     ParseError,
     RunManifest,
@@ -15,6 +17,7 @@ from cdexchange.cli import (
     main,
     run,
 )
+from util import report_of, uniform_config
 
 
 def minimal_doc():
@@ -367,19 +370,19 @@ def test_run_exit_codes(tmp_path, monkeypatch, capsys):
     assert run(RunManifest("simulate", out, config_path=kac_cfg,
                            t_end=t_end, n_trajectories=1)) == 1
     assert f"x {rows} simulated" in capsys.readouterr().err
-    # few events but one sample time of the ensemble over the byte limit
+    # few events and one sample time, but over the byte limit: a slice of
+    # 5e7 trajectories is 0.8 GB, and a run holds several
     wide = minimal_doc()
     wide["simulation"]["t_end"] = 1e-9
     wide["simulation"]["sample_times"] = [0.0]
-    wide["simulation"]["n_trajectories"] = 2 * 10**8  # 3.2 GB per slice
+    wide["simulation"]["n_trajectories"] = 5 * 10**7
     wide_cfg = write_doc(tmp_path, wide, "wide.json")
     for command in ("simulate", "verify"):
         assert run(RunManifest(command, out, config_path=wide_cfg)) == 1
         assert "GiB" in capsys.readouterr().err
     # many sample times of a small slice are not refused, however many
     # bytes all of them would take together (3000 x 200k x 2 x 8 = 9.6 GB):
-    # the run starts, and the patched engine makes it exit 2
-    monkeypatch.setattr(cli, "convergence_report", boom)
+    # the run starts, and the patched run_ensemble makes it exit 2
     long = minimal_doc()
     long["simulation"]["t_end"] = 1e-9
     long["simulation"]["sample_times"] = [0.0] * 3000
@@ -392,6 +395,24 @@ def test_run_exit_codes(tmp_path, monkeypatch, capsys):
     assert run(RunManifest("preset-kac", out,
                            agents=cli._MAX_PRESET_AGENTS + 1)) == 1
     assert "agents" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_agents, n_goods", [(2, 1), (3, 2), (6, 1)])
+def test_preflight_byte_count_bounds_the_run(n_agents, n_goods):
+    # What the preflight refuses on holds what a run allocates at its peak.
+    plan = validate_plan(SimulationPlan(
+        uniform_config(n_agents, n_goods=n_goods, seed=5), 1.0,
+        np.linspace(0.0, 1.0, 4), 20_000, "equilibrium"))
+    for command, go in (("simulate", run_ensemble), ("verify", report_of)):
+        go(replace(plan, n_trajectories=40))  # first-call imports
+        tracemalloc.start()
+        try:
+            go(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = -(-plan.n_trajectories // cli._BLOCK) * cli._BLOCK
+        assert peak <= cli._bytes_per_row(plan.cfg, command) * rows + 2**18, command
 
 
 def test_run_rejects_unknown_command_and_format(tmp_path):

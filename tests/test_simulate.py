@@ -14,7 +14,6 @@ from cdexchange import (
     State,
     check_state,
     derived_rng,
-    ensemble_states,
     marginal_ks,
     plan_digest,
     run_ensemble,
@@ -25,7 +24,7 @@ from cdexchange import simulate
 from cdexchange.economy import ConfigError
 from cdexchange.simulate import _BLOCK, _embedded_batch, _pair_table
 
-from util import KS_CRIT_1PCT, ensemble_samples, make_config, uniform_config
+from util import KS_CRIT_1PCT, ensemble_samples, make_config, report_of, uniform_config
 
 
 def small_plan(cfg, **kw):
@@ -285,10 +284,10 @@ def test_multi_block_ensemble():
     assert np.array_equal(short, samples[:, : _BLOCK + 1])
 
 
-def test_ensemble_states_stop_at_the_last_sample_time(monkeypatch):
-    # The slices do not depend on t_end, and taking them runs no event
-    # after the last sample time; run_ensemble goes on to t_end for the
-    # event counts.
+def test_verify_runs_no_event_after_the_last_sample_time(monkeypatch):
+    # The slices do not depend on t_end, and the run behind a convergence
+    # report applies no encounter after the last sample time; run_ensemble
+    # goes on to t_end for the event counts.
     applied = []
     encounters = simulate._encounters
 
@@ -298,14 +297,20 @@ def test_ensemble_states_stop_at_the_last_sample_time(monkeypatch):
 
     monkeypatch.setattr(simulate, "_encounters", counted)
     cfg = uniform_config(3, n_goods=2, seed=31)
-    short = small_plan(cfg, t_end=1.0, sample_times=np.array([0.0, 0.5, 1.0]))
+    short = small_plan(cfg, t_end=1.0, sample_times=np.array([0.0, 0.5, 1.0]),
+                       n_trajectories=40)
     long = replace(short, t_end=50.0)
-    first = ensemble_samples(short)
+    first = report_of(short)
     n_short = sum(applied)
-    assert np.array_equal(first, ensemble_samples(long))
+    again = report_of(long)
     assert sum(applied) == 2 * n_short
+    assert np.array_equal(first.tv, again.tv)
+    assert np.array_equal(first.ks_statistic, again.ks_statistic)
+    assert first.plan_digest != again.plan_digest == plan_digest(long)
+    assert np.array_equal(ensemble_samples(short), ensemble_samples(long))
+    applied.clear()
     events = run_ensemble(long).event_counts
-    assert sum(applied) - 2 * n_short > events.sum() > 40 * short.n_trajectories
+    assert sum(applied) - n_short > events.sum() > 40 * short.n_trajectories
 
 
 def test_ensemble_means_in_range():
@@ -408,8 +413,6 @@ def test_workers_argument_validated():
     cfg = uniform_config(2)
     with pytest.raises(ValueError):
         run_ensemble(small_plan(cfg), workers=0)
-    with pytest.raises(ValueError):
-        ensemble_states(small_plan(cfg), workers=0)
 
 
 # ---------------------------------------------------------------- embedded

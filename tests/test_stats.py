@@ -13,6 +13,7 @@ from scipy.stats import chi2
 
 from cdexchange import (
     BinningMismatch,
+    ConvergenceTally,
     DegenerateParameters,
     DirichletSpec,
     EmptySample,
@@ -33,7 +34,7 @@ from cdexchange import (
 )
 
 from cdexchange.simulate import _BLOCK
-from util import ensemble_samples, make_config, uniform_config
+from util import ensemble_samples, make_config, report_of, uniform_config
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -342,7 +343,7 @@ def _small_plan(initial_state, n_traj=800, times=(0.0, 1.0), seed=41, n_goods=1)
 
 
 def test_convergence_report_at_equilibrium():
-    rep = convergence_report(_small_plan("equilibrium"))
+    rep = report_of(_small_plan("equilibrium"))
     bound = rep.baseline_tv_mean + np.maximum(6.0 * rep.baseline_tv_std, 0.06)
     assert (rep.tv <= bound[None, :]).all()
     assert (rep.ks_pvalue > 1e-4).all()
@@ -353,7 +354,7 @@ def test_convergence_report_at_equilibrium():
 def test_convergence_report_flags_point_mass():
     # at t=0 every trajectory sits on the same deterministic point, so the
     # empirical law is a point mass however the endowments are placed
-    rep = convergence_report(_small_plan("endowments", times=(0.0, 2.0)))
+    rep = report_of(_small_plan("endowments", times=(0.0, 2.0)))
     assert rep.tv[0, 0] > 0.9          # t=0 degenerate vs stationary
     assert rep.ks_pvalue[0].max() < 1e-6
     assert rep.max_moment_z[0] > 10.0
@@ -377,7 +378,7 @@ def test_convergence_report_ks_matches_plain_marginal_ks(initial_state, n_traj):
     times = np.array([0.0, 0.02, 0.05, 0.05, 0.3, 1.0])
     plan = SimulationPlan(cfg, 1.0, times, n_traj, initial_state)
     samples = ensemble_samples(plan)
-    rep = convergence_report(plan)
+    rep = report_of(plan)
     for g in range(cfg.n_goods):
         spec = good_spec(cfg, g)
         for t in range(times.size):
@@ -387,10 +388,25 @@ def test_convergence_report_ks_matches_plain_marginal_ks(initial_state, n_traj):
                 assert rep.ks_statistic[t, i, g] == res.statistic
                 assert rep.ks_pvalue[t, i, g] == res.pvalue
     if n_traj > _BLOCK:
-        assert convergence_report(plan, workers=2).to_json_dict() == rep.to_json_dict()
+        assert report_of(plan, workers=2).to_json_dict() == rep.to_json_dict()
 
 
-@pytest.mark.parametrize("consume", [run_ensemble, convergence_report])
+def test_convergence_report_needs_samples():
+    # a tally that has not taken every sample time gives no report, and it
+    # takes the sample times only in order
+    plan = _small_plan("equilibrium", n_traj=40)
+    tally = ConvergenceTally(plan)
+    with pytest.raises(ValueError):
+        convergence_report(tally)
+    first = ensemble_samples(plan)[0]
+    with pytest.raises(ValueError):
+        tally.add(1, first)
+    tally.add(0, first)
+    with pytest.raises(ValueError):
+        convergence_report(tally)
+
+
+@pytest.mark.parametrize("consume", [run_ensemble, report_of])
 def test_memory_does_not_grow_with_sample_times(consume):
     # A run holds a few slices of the ensemble, never one per sample time.
     def peak(n_times):
@@ -409,7 +425,7 @@ def test_memory_does_not_grow_with_sample_times(consume):
 
 def test_convergence_report_json_matches_schema():
     jsonschema = pytest.importorskip("jsonschema")
-    rep = convergence_report(_small_plan("equilibrium", n_traj=120, times=(0.0, 0.5)))
+    rep = report_of(_small_plan("equilibrium", n_traj=120, times=(0.0, 0.5)))
     payload = rep.to_json_dict()
     schema = json.loads((SCHEMA_DIR / "convergence_report.schema.json").read_text())
     jsonschema.validate(payload, schema)
@@ -419,7 +435,7 @@ def test_convergence_report_json_matches_schema():
 
 def test_convergence_report_csv_round_trip(tmp_path):
     plan = _small_plan("equilibrium", n_traj=120, times=(0.0, 0.5))
-    rep = convergence_report(plan)
+    rep = report_of(plan)
     path = tmp_path / "conv.csv"
     rep.write_csv(path)
     lines = path.read_text().splitlines()

@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from cdexchange import EconomyConfig, ensemble_states, validate_config
+from cdexchange import (
+    ConvergenceTally,
+    EconomyConfig,
+    convergence_report,
+    run_ensemble,
+    validate_config,
+)
 
 
 def uniform_config(n_agents, n_goods=1, alpha=1.0, seed=0, total=1.0, rate=1.0):
@@ -37,7 +43,16 @@ def make_config(rates, exponents, endowments, seed=0):
 
 def ensemble_samples(plan, workers=1):
     """The ensemble's holdings at every sample time, shape (T, n, N, M)."""
-    return np.stack(list(ensemble_states(plan, workers=workers)))
+    slices = []
+    run_ensemble(plan, workers=workers, each=lambda t, h: slices.append(h.copy()))
+    return np.stack(slices)
+
+
+def report_of(plan, workers=1):
+    """The convergence report of ``plan``, run the way ``verify`` runs it."""
+    tally = ConvergenceTally(plan)
+    run_ensemble(tally.plan, workers=workers, each=tally.add)
+    return convergence_report(tally)
 
 
 # Two-sided KS critical value at the 1% level (asymptotic), divided by sqrt(n).
