@@ -30,7 +30,7 @@ from .economy import (
     validate_config,
 )
 from .simulate import _BLOCK, SimulationPlan, run_ensemble, validate_plan
-from .stats import _MIN_KS_SAMPLES, ConvergenceTally, convergence_report
+from .stats import _MIN_KS_SAMPLES, ConvergenceTally, convergence_report, default_binning
 
 __all__ = [
     "ParseError",
@@ -327,10 +327,21 @@ def _bytes_per_row(cfg, command):
     values, with S = N*M holdings: the live ensemble and a temporary copy
     of it (2S) and each row's clock and event count (3); for ``verify``
     also the previous sample time, the Beta CDF of every holding (2S) and
-    one good's statistics (3N).  None of it grows with the number of
-    sample times; a tracemalloc test holds runs to it."""
+    the temporaries of one good's statistics (3N: ``moment_z_scores``
+    holds up to 2.5N, ``binned_tv`` 2N).  None of it grows with the
+    number of sample times; a tracemalloc test holds runs to it."""
     s = cfg.n_agents * cfg.n_goods
     return 8 * (2 * s + 3 if command == "simulate" else 4 * s + 3 * cfg.n_agents + 3)
+
+
+def _law_bytes(plan):
+    """Bytes of the exact binned laws that ``verify`` holds, one table of
+    8-byte cell masses per good: bins^N cells in joint mode, N * bins in
+    marginal mode (see :func:`default_binning`)."""
+    n = plan.cfg.n_agents
+    binning = default_binning(plan.n_trajectories, np.ones(n))
+    cells = binning.bins**n if binning.mode == "joint" else n * binning.bins
+    return 8 * plan.cfg.n_goods * cells
 
 
 def _preflight(plan, command):
@@ -347,6 +358,8 @@ def _preflight(plan, command):
             path="simulation",
         )
     nbytes = _bytes_per_row(cfg, command) * rows
+    if command == "verify":
+        nbytes += _law_bytes(plan)
     if nbytes > _MAX_RUN_BYTES:
         raise ValidationError(
             f"{command} would hold {nbytes / 2**30:.3g} GiB at its peak ({rows} "

@@ -4,23 +4,25 @@ Three instruments, all aimed at the product-Dirichlet target:
 
 * closed-form first and second stationary moments,
 * per-coordinate Kolmogorov-Smirnov tests against the Beta marginal,
-* a binned total-variation estimate against a fresh stationary sample,
-  which is a consistent estimator of TV over the binned algebra and
-  therefore a lower bound on the true total variation.
+* a binned total-variation distance between the sample and the exact
+  binned stationary law (:func:`binned_law`, the stationary mass of every
+  cell): ``0.5 * sum |p_hat - p|`` over the cells, a consistent estimator
+  of the TV over the binned algebra and therefore of a lower bound on the
+  true total variation.
 
 A :class:`ConvergenceTally` takes the ensemble one sample time at a time,
 as :func:`run_ensemble <cdexchange.simulate.run_ensemble>` reaches it, and
 :func:`convergence_report` completes the report from the tally.  The
-tally keeps the Beta CDF value of every holding from one time to the next:
-``betainc`` runs again only on the holdings that changed since the
-previous sample time (most trajectories see no event between two close
-sample times).  Each value is the same elementwise computation that a
-plain :func:`marginal_ks` call makes, so the KS results are unchanged to
-the bit.
+tally builds each good's binned law once and keeps the Beta CDF value of
+every holding from one time to the next: ``betainc`` runs again only on
+the holdings that changed since the previous sample time (most
+trajectories see no event between two close sample times).  Each value is
+the same elementwise computation that a plain :func:`marginal_ks` call
+makes, so the KS results are unchanged to the bit.
 
-``scipy.special`` (``betainc``, ``kolmogorov``) is imported inside the
-functions that call it, so only ``verify`` pays for loading scipy, on its
-first call; importing this module does not.
+``scipy.special`` (``betainc``, ``kolmogorov``, ``eval_jacobi``) is
+imported inside the functions that call it, so only ``verify`` pays for
+loading scipy, on its first call; importing this module does not.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ __all__ = [
     "BinningMismatch",
     "KsResult",
     "HistogramBinning",
+    "BinnedLaw",
     "default_binning",
+    "binned_law",
     "dirichlet_moments",
     "marginal_ks",
     "binned_tv",
@@ -52,12 +56,13 @@ __all__ = [
     "convergence_report",
 ]
 
-# Spawn-key namespaces for reference draws (trajectories use 0).
-_NS_REFERENCE = 1
+# Spawn-key namespace of the baseline draws (trajectories use 0, tests 3).
 _NS_BASELINE = 2
 
 _MIN_KS_SAMPLES = 35  # below this the asymptotic Kolmogorov p-value is junk
-_BASELINE_REPLICATES = 8  # stationary sample pairs behind the TV noise floor
+_BASELINE_REPLICATES = 8  # stationary samples behind the TV noise floor
+_MAX_JOINT_CELLS = 16_000_000
+_LAW_NODES = 16  # quadrature nodes per x_1-bin of a 3-coordinate joint law
 
 
 class EmptySample(ValueError):
@@ -206,26 +211,173 @@ def _bin_indices(x, binning):
     return np.clip(idx, 0, binning.bins - 1, out=idx)
 
 
-def binned_tv(samples_a, samples_b, binning: HistogramBinning) -> float:
-    """0.5 * sum_cells |p_hat_a - p_hat_b| over the binning's cells.
+@dataclass(frozen=True)
+class BinnedLaw:
+    """The exact stationary mass of every cell of ``binning``, laid out as
+    a sample's cell shares are: one row per coordinate in marginal mode,
+    one row over the whole grid in joint mode.  :func:`binned_law` builds
+    it; :func:`binned_tv` takes it as a reference."""
+
+    binning: HistogramBinning
+    masses: np.ndarray
+
+
+def binned_law(spec: DirichletSpec, binning: HistogramBinning) -> BinnedLaw:
+    """The stationary law of ``spec`` on the cells of ``binning``.
+
+    Marginal mode: Beta CDF differences at each coordinate's bin edges;
+    the end bins also take the mass beyond the axis, as the binning puts
+    samples there.  Joint mode needs every axis to span [0, total] and
+    at most 3 coordinates.  The law lives on the simplex x_1 + ... + x_N
+    = total, so with 2 coordinates bin i of x_1 is cell (i, bins-1-i),
+    and with 3 each x_1-bin's exact mass is split over the (x_2, x_3)
+    cells by quadrature (:func:`_joint3_masses`).
+    """
+    a = spec.alphas
+    n, bins = a.size, binning.bins
+    if binning.n_coords != n:
+        raise BinningMismatch(f"binning has {binning.n_coords} coordinates, the law {n}")
+    if binning.mode == "marginal":
+        width = (binning.upper - binning.lower) / bins
+        edges = binning.lower[:, None] + width[:, None] * np.arange(1, bins)
+        masses = _increments(_beta_cdf(a[:, None], (spec.exponent_sum - a)[:, None],
+                                       edges, spec.total))
+    else:
+        if not (np.all(binning.lower == 0.0) and np.all(binning.upper == spec.total)):
+            raise BinningMismatch("a joint law needs every axis to span [0, total]")
+        if n > 3:
+            raise BinningMismatch("a joint law has at most 3 coordinates; use mode='marginal'")
+        _check_joint_cells(binning)
+        first = _increments(_beta_cdf(a[0], spec.exponent_sum - a[0],
+                                      np.arange(1, bins) / bins, 1.0))
+        if n == 2:
+            masses = np.zeros((bins, bins))
+            masses[np.arange(bins), np.arange(bins)[::-1]] = first
+        else:
+            masses = _joint3_masses(a, first)
+        masses = masses.reshape(1, -1)
+    masses.setflags(write=False)
+    return BinnedLaw(binning, masses)
+
+
+def _increments(cdf):
+    """Masses between consecutive CDF values along the last axis, with 0
+    before the first and 1 after the last; the running maximum keeps
+    rounding from making any of them negative."""
+    return np.diff(np.maximum.accumulate(cdf, axis=-1), axis=-1, prepend=0.0, append=1.0)
+
+
+def _joint3_masses(alphas, first):
+    """Cell masses (bins, bins, bins) of a 3-coordinate law on [0, G]^3,
+    given the masses ``first`` of the x_1-bins.
+
+    In units of the bin width, let x_1 lie in bin i, m = bins - i and
+    r = G - x_1 = m - 1 + phi with phi in (0, 1].  Given x_1, x_2 = r U
+    with U ~ Beta(a_2, a_3), and x_3 = r - x_2.  The x_2 edges j and the
+    x_3 edges, seen on the x_2 axis at r - j, interleave as
+    0, phi, 1, 1 + phi, ..., m - 1, r: x_2 in [j, j + phi) is cell
+    (j, m-1-j) and x_2 in [j + phi, j + 1) is cell (j, m-2-j).  Every
+    axis has the same width, so that order holds across the whole bin,
+    and each cell's conditional mass is smooth in phi except as phi -> 0,
+    where it goes like phi^a_2 or phi^a_3.  The substitution phi = t^4
+    flattens that end, and Gauss-Legendre nodes in t integrate against the
+    x_1 density (Gauss-Jacobi in bin 0, whose weight (1 - t)^(a_1 - 1)
+    takes the density's x_1^(a_1 - 1)).  Each bin's exact mass is split in
+    the quadrature's proportions, so the masses still sum to 1.  The last
+    bin (m = 1) lies wholly in cell (bins-1, 0, 0).
+    """
+    from scipy.special import betainc
+
+    a1, a2, a3 = alphas
+    bins = first.size
+    out = np.zeros((bins, bins, bins))
+    out[-1, 0, 0] = first[-1]
+    rules = (_gauss_jacobi(_LAW_NODES, a1 - 1.0), _gauss_jacobi(_LAW_NODES, 0.0))
+    for i in range(bins - 1):
+        s, ws = rules[i > 0]
+        t = 0.5 * (s + 1.0)
+        phi = t**4
+        # x_1 is (1 + t)(1 + t^2)(1 - t) in bin 0, where the Jacobi weight
+        # carries the (1 - t), and i + 1 - phi after
+        x1 = (1.0 + t) * (1.0 + t * t) if i == 0 else i + 1.0 - phi
+        rho = bins - i - 1.0 + phi
+        logw = np.log(ws * t**3) + (a1 - 1.0) * np.log(x1) + (a2 + a3 - 1.0) * np.log(rho)
+        w = np.exp(logw - logw.max())
+        w /= w.sum()
+        m = bins - i
+        v = np.arange(1, m) / rho[:, None]
+        # CDF of x_2 at phi, 1, 1 + phi, ..., m - 1 (0 and r are implied)
+        c = np.empty((t.size, 2 * m - 2))
+        c[:, 0::2] = 1.0 - betainc(a3, a2, v[:, ::-1])
+        c[:, 1::2] = betainc(a2, a3, v)
+        split = w @ _increments(c)
+        j = np.arange(m)
+        out[i, j, m - 1 - j] = first[i] * split[0::2]
+        out[i, j[:-1], m - 2 - j[:-1]] = first[i] * split[1::2]
+    return out
+
+
+def _gauss_jacobi(n, alpha):
+    """Nodes and weights (up to a common factor) of the n-point Gauss rule
+    for the weight (1 - s)^alpha on [-1, 1], alpha > -1: the roots of the
+    Jacobi polynomial P_n^(alpha, 0), found together by Aberth's method
+    from their asymptotic places, and the weights
+    1 / ((1 - s^2) P_n'(s)^2).  scipy's ``roots_jacobi`` gives the same
+    rule but loads ``scipy.linalg``, which costs ``verify`` memory."""
+    from scipy.special import eval_jacobi
+
+    def slope(x):
+        return 0.5 * (n + alpha + 1.0) * eval_jacobi(n - 1, alpha + 1.0, 1.0, x)
+
+    x = np.cos((np.arange(1, n + 1) + 0.5 * alpha - 0.25) * np.pi / (n + 0.5 * alpha + 0.5))
+    for _ in range(100):
+        step = eval_jacobi(n, alpha, 0.0, x) / slope(x)
+        gap = x[:, None] - x
+        np.fill_diagonal(gap, np.inf)
+        step /= 1.0 - step * (1.0 / gap).sum(axis=1)
+        x -= step
+        if np.abs(step).max() < 1e-15:
+            break
+    return x, 1.0 / ((1.0 - x * x) * slope(x) ** 2)
+
+
+def _check_joint_cells(binning):
+    if binning.mode == "joint" and binning.bins**binning.n_coords > _MAX_JOINT_CELLS:
+        raise BinningMismatch(
+            "joint binning would need too many cells; use mode='marginal'"
+        )
+
+
+def _same_binning(a: HistogramBinning, b: HistogramBinning) -> bool:
+    return (a.bins == b.bins and a.mode == b.mode
+            and np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper))
+
+
+def binned_tv(samples, reference, binning: HistogramBinning) -> float:
+    """0.5 * sum_cells |p_hat - p| over the binning's cells, where p_hat
+    is the share of ``samples`` in each cell.  ``reference`` is either a
+    :class:`BinnedLaw` on the same binning, whose exact masses are p (the
+    one-sample distance to that law), or a second sample, whose shares
+    are p (the two-sample distance).  In marginal mode the result is the
+    largest over the coordinates.
 
     Consistent for the TV between the binned laws, hence a lower bound on
     the true total variation (up to sampling noise).
     """
-    a = _as_points(samples_a)
-    b = _as_points(samples_b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise EmptySample("both sample sets must be non-empty")
+    law = isinstance(reference, BinnedLaw)
+    sets = [_as_points(samples)] + ([] if law else [_as_points(reference)])
+    if any(x.shape[0] == 0 for x in sets):
+        raise EmptySample("every sample set must be non-empty")
     d = binning.n_coords
-    if a.shape[1] != d or b.shape[1] != d:
+    if any(x.shape[1] != d for x in sets):
         raise BinningMismatch(
-            f"samples have {a.shape[1]} and {b.shape[1]} coordinates, binning has {d}"
+            f"samples have {[x.shape[1] for x in sets]} coordinates, binning has {d}"
         )
-    if binning.mode == "joint" and binning.bins**d > 16_000_000:
-        raise BinningMismatch(
-            "joint binning would need too many cells; use mode='marginal'"
-        )
-    diff = np.abs(_cell_shares(a, binning) - _cell_shares(b, binning))
+    _check_joint_cells(binning)
+    if law and not _same_binning(reference.binning, binning):
+        raise BinningMismatch("the law was built on another binning")
+    p = reference.masses if law else _cell_shares(sets[1], binning)
+    diff = np.abs(_cell_shares(sets[0], binning) - p)
     return 0.5 * float(diff.sum(axis=1).max())
 
 
@@ -300,8 +452,8 @@ class ConvergenceReport:
     max_moment_z: np.ndarray      # (T,)
     ks_statistic: np.ndarray      # (T, N, M)
     ks_pvalue: np.ndarray         # (T, N, M)
-    tv: np.ndarray                # (T, M), against a fresh stationary sample
-    baseline_tv_mean: np.ndarray  # (M,), two-sample self-distance floor
+    tv: np.ndarray                # (T, M), to the exact binned law
+    baseline_tv_mean: np.ndarray  # (M,), a stationary sample's distance to it
     baseline_tv_std: np.ndarray   # (M,)
     baseline_replicates: int
     bins_per_coordinate: np.ndarray  # (M,)
@@ -366,8 +518,10 @@ class ConvergenceTally:
     ``tally.plan`` is ``plan`` cut at its last sample time, after which
     the report reads nothing.  The tally keeps the previous sample time's
     holdings and their Beta CDF values.  Each good is binned by
-    :func:`default_binning`; the TV reference at each (time, good) is a
-    fresh stationary sample of equal size from a dedicated stream.
+    :func:`default_binning`, and its exact binned stationary law
+    (:func:`binned_law`) is built once, here: the TV at each (time, good)
+    is the one-sample distance of the holdings to that law, and draws
+    nothing.
     """
 
     def __init__(self, plan: SimulationPlan):
@@ -378,8 +532,8 @@ class ConvergenceTally:
         t_cnt = plan.sample_times.size
         n_samples, n, m = plan.n_trajectories, cfg.n_agents, cfg.n_goods
         self.specs = [good_spec(cfg, g) for g in range(m)]
-        self.binnings = [default_binning(n_samples, np.full(n, spec.total))
-                         for spec in self.specs]
+        self.laws = [binned_law(spec, default_binning(n_samples, np.full(n, spec.total)))
+                     for spec in self.specs]
         self.count = 0
         self.max_z = np.empty(t_cnt)
         self.ks_stat = np.empty((t_cnt, n, m))
@@ -393,12 +547,10 @@ class ConvergenceTally:
         times must come in order."""
         if t != self.count:
             raise ValueError(f"expected sample time {self.count}, got {t}")
-        for g, spec in enumerate(self.specs):
+        for g, (spec, law) in enumerate(zip(self.specs, self.laws)):
             betas = spec.exponent_sum - spec.alphas
             pts = holdings[:, :, g]
-            rng = derived_rng(self.plan.cfg.seed, _NS_REFERENCE, t, g)
-            self.tv[t, g] = binned_tv(pts, sample_dirichlet(spec, rng, size=pts.shape[0]),
-                                      self.binnings[g])
+            self.tv[t, g] = binned_tv(pts, law, law.binning)
             for i in range(pts.shape[1]):
                 x = pts[:, i]
                 redo = slice(None) if t == 0 else np.flatnonzero(x != self._prev[:, i, g])
@@ -418,10 +570,12 @@ def convergence_report(tally: ConvergenceTally) -> ConvergenceReport:
     """Compare a plan's ensemble against the exact stationary law, from a
     tally that has taken every sample time (see :class:`ConvergenceTally`).
 
-    The reported baseline is the mean/std of the binned TV between 8
-    pairs of independent stationary samples (the estimator's noise
-    floor).  The report is the same for any ``workers`` of the run that
-    filled the tally.
+    ``tv`` and the baseline are one-sample distances to each good's exact
+    binned law.  The baseline is the mean/std of that distance over 8
+    independent stationary samples of the ensemble's size (the
+    estimator's noise floor): at an equilibrium start each ``tv`` has
+    exactly the law of one baseline replicate.  The report is the same
+    for any ``workers`` of the run that filled the tally.
     """
     plan = tally.plan
     if tally.count != plan.sample_times.size:
@@ -431,13 +585,10 @@ def convergence_report(tally: ConvergenceTally) -> ConvergenceReport:
     n_samples, m = plan.n_trajectories, cfg.n_goods
     base_mean = np.empty(m)
     base_std = np.empty(m)
-    for g in range(m):
-        reps = []
-        for r in range(_BASELINE_REPLICATES):
-            rng = derived_rng(cfg.seed, _NS_BASELINE, r, g)
-            sa = sample_dirichlet(tally.specs[g], rng, size=n_samples)
-            sb = sample_dirichlet(tally.specs[g], rng, size=n_samples)
-            reps.append(binned_tv(sa, sb, tally.binnings[g]))
+    for g, (spec, law) in enumerate(zip(tally.specs, tally.laws)):
+        reps = [binned_tv(sample_dirichlet(spec, derived_rng(cfg.seed, _NS_BASELINE, r, g),
+                                           size=n_samples), law, law.binning)
+                for r in range(_BASELINE_REPLICATES)]
         base_mean[g] = float(np.mean(reps))
         base_std[g] = float(np.std(reps, ddof=1))
 
@@ -451,8 +602,9 @@ def convergence_report(tally: ConvergenceTally) -> ConvergenceReport:
         baseline_tv_mean=base_mean,
         baseline_tv_std=base_std,
         baseline_replicates=_BASELINE_REPLICATES,
-        bins_per_coordinate=np.array([b.bins for b in tally.binnings], dtype=np.int64),
-        binning_modes=[b.mode for b in tally.binnings],
+        bins_per_coordinate=np.array([law.binning.bins for law in tally.laws],
+                                     dtype=np.int64),
+        binning_modes=[law.binning.mode for law in tally.laws],
         plan_digest=tally.plan_digest,
         seed=cfg.seed,
     )

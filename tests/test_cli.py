@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdexchange import SimulationPlan, cli, run_ensemble, validate_plan
+from cdexchange import ConvergenceTally, SimulationPlan, cli, run_ensemble, validate_plan
 from cdexchange.cli import (
     ParseError,
     RunManifest,
@@ -413,6 +413,15 @@ def test_preflight_byte_count_bounds_the_run(n_agents, n_goods):
             tracemalloc.stop()
         rows = -(-plan.n_trajectories // cli._BLOCK) * cli._BLOCK
         assert peak <= cli._bytes_per_row(plan.cfg, command) * rows + 2**18, command
+
+
+@pytest.mark.parametrize("n_agents, n_traj", [(2, 50), (3, 20_000), (5, 300)])
+def test_preflight_counts_the_law_tables_exactly(n_agents, n_traj):
+    plan = validate_plan(SimulationPlan(
+        uniform_config(n_agents, n_goods=2, seed=5), 1.0, np.array([0.0, 1.0]),
+        n_traj, "equilibrium"))
+    laws = ConvergenceTally(plan).laws
+    assert cli._law_bytes(plan) == sum(law.masses.nbytes for law in laws)
 
 
 def test_run_rejects_unknown_command_and_format(tmp_path):

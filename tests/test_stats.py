@@ -12,6 +12,7 @@ from scipy.special import betainc
 from scipy.stats import chi2
 
 from cdexchange import (
+    BinnedLaw,
     BinningMismatch,
     ConvergenceTally,
     DegenerateParameters,
@@ -20,6 +21,7 @@ from cdexchange import (
     HistogramBinning,
     SimulationPlan,
     TooFewSamples,
+    binned_law,
     binned_tv,
     convergence_report,
     default_binning,
@@ -33,6 +35,7 @@ from cdexchange import (
     validate_plan,
 )
 
+from cdexchange import stats
 from cdexchange.simulate import _BLOCK
 from util import ensemble_samples, make_config, report_of, uniform_config
 
@@ -244,6 +247,138 @@ def test_binned_tv_metric_properties(a, b, c):
     assert dab <= binned_tv(a, c, binning) + binned_tv(c, b, binning) + 1e-12
 
 
+# ---------------------------------------------------------------- binned law
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alphas=st.lists(st.floats(0.3, 3.0), min_size=2, max_size=6),
+    total=st.floats(0.1, 10.0),
+    n_samples=st.integers(1, 30_000),
+    marginal=st.booleans(),
+)
+def test_binned_law_masses_are_a_law(alphas, total, n_samples, marginal):
+    spec = DirichletSpec(np.array(alphas), total)
+    binning = default_binning(n_samples, np.full(len(alphas), total))
+    if marginal:
+        binning = HistogramBinning(binning.lower, binning.upper, binning.bins, "marginal")
+    law = binned_law(spec, binning)
+    rows = len(alphas) if binning.mode == "marginal" else 1
+    cells = binning.bins if binning.mode == "marginal" else binning.bins ** len(alphas)
+    assert law.masses.shape == (rows, cells)
+    assert law.masses.min() >= 0.0
+    np.testing.assert_allclose(law.masses.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def _mc_tv_bound(law, n, level=1e-6):
+    # E[TV] <= 0.5 * sum_cells sqrt(p (1 - p) / n) <= 0.5 * sqrt(K / n) over
+    # the K cells of nonzero mass (Cauchy-Schwarz); one point moves a row's
+    # TV by at most 1/n, so it exceeds its mean by eps with probability at
+    # most exp(-2 n eps^2) (McDiarmid), union-bounded over the rows.
+    rows = law.masses.shape[0]
+    k = (law.masses > 0.0).sum(axis=1).max()
+    return 0.5 * math.sqrt(k / n) + math.sqrt(math.log(rows / level) / (2 * n))
+
+
+@pytest.mark.parametrize("alphas, total", [
+    ([0.4, 2.2], 2.0),                # joint, 1-D slice
+    ([0.35, 1.3, 2.6], 1.5),          # joint, 2-D slice
+    ([0.4, 0.8, 2.0, 0.3], 1.0),      # marginal
+])
+def test_binned_law_matches_monte_carlo(alphas, total):
+    n = 2_000_000
+    spec = DirichletSpec(np.array(alphas), total)
+    binning = default_binning(8000, np.full(len(alphas), total))
+    x = sample_dirichlet(spec, derived_rng(21, 3, len(alphas)), size=n)
+    law = binned_law(spec, binning)
+    bound = _mc_tv_bound(law, n)
+    assert binned_tv(x, law, binning) <= bound
+    # a law with the exponents permuted is told apart
+    wrong = binned_law(DirichletSpec(np.array(alphas[::-1]), total), binning)
+    assert binned_tv(x, wrong, binning) > 10 * bound
+
+
+def test_binned_law_two_coordinates_is_beta_cdf_differences():
+    a, b, total, bins = 0.45, 1.7, 3.0, 13
+    law = binned_law(DirichletSpec(np.array([a, b]), total),
+                     HistogramBinning(np.zeros(2), np.full(2, total), bins))
+    cells = law.masses.reshape(bins, bins)
+    edges = betainc(a, b, np.arange(bins + 1) / bins)
+    # x_2 = total - x_1, so x_1's bin i is the cell (i, bins - 1 - i)
+    np.testing.assert_allclose(np.diag(cells[:, ::-1]), np.diff(edges), rtol=0, atol=1e-14)
+    assert cells.sum() - np.trace(cells[:, ::-1]) == 0.0
+
+
+def _mp_cell(alphas, bins, cell):
+    """Mass of one joint cell of a 3-coordinate Dirichlet law on the unit
+    simplex, from mpmath: a quadrature over x_1 of mpmath's incomplete
+    Beta function over the x_2-interval that the cell cuts out."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        a1, a2, a3 = (mp.mpf(a) for a in alphas)
+        w = mp.mpf(1) / bins
+        i1, i2, i3 = cell
+
+        def density(x1):
+            r = 1 - x1
+            lo = max(i2 * w, r - (i3 + 1) * w, 0)
+            hi = min((i2 + 1) * w, r - i3 * w, r)
+            if hi <= lo:
+                return mp.mpf(0)
+            return (x1 ** (a1 - 1) * r ** (a2 + a3 - 1) / mp.beta(a1, a2 + a3)
+                    * mp.betainc(a2, a3, lo / r, hi / r, regularized=True))
+
+        lo, hi = i1 * w, (i1 + 1) * w
+        kinks = [1 - k * w for k in range(bins + 2) if lo < 1 - k * w < hi]
+        return float(mp.quad(density, [lo] + kinks + [hi]))
+
+
+@pytest.mark.parametrize("alphas", [(0.4, 0.7, 2.6), (2.2, 1.5, 0.35)])
+def test_binned_law_three_coordinates_matches_mpmath(alphas):
+    bins = 5
+    law = binned_law(DirichletSpec(np.array(alphas), 1.0),
+                     HistogramBinning(np.zeros(3), np.ones(3), bins))
+    cells = law.masses.reshape(bins, bins, bins)
+    for cell in [(0, 1, 3), (0, 4, 0), (1, 1, 2), (2, 0, 1), (3, 0, 0), (4, 0, 0)]:
+        assert abs(cells[cell] - _mp_cell(alphas, bins, cell)) <= 1e-9, cell
+    # a cell off the slice x_1 + x_2 + x_3 = 1 has no mass
+    assert cells[1, 2, 2] == 0.0
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.7, 2.0, 49.0, 1000.0])
+def test_gauss_jacobi_rule_matches_scipy(alpha):
+    from scipy.special import roots_jacobi
+
+    nodes, weights = stats._gauss_jacobi(stats._LAW_NODES, alpha)
+    ref_nodes, ref_weights = roots_jacobi(stats._LAW_NODES, alpha, 0.0)
+    order = np.argsort(nodes)
+    np.testing.assert_allclose(nodes[order], ref_nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights[order] / weights.sum(),
+                               ref_weights / ref_weights.sum(), rtol=1e-11)
+
+
+def test_binned_law_errors():
+    spec = DirichletSpec(np.array([0.5, 1.0, 2.0]), 1.0)
+    joint = HistogramBinning(np.zeros(3), np.ones(3), 8)
+    law = binned_law(spec, joint)
+    assert isinstance(law, BinnedLaw)
+    x = sample_dirichlet(spec, derived_rng(22, 3, 0), size=100)
+    assert binned_tv(x, law, HistogramBinning(np.zeros(3), np.ones(3), 8)) == binned_tv(x, law, joint)
+    for other in (HistogramBinning(np.zeros(3), np.ones(3), 9),
+                  HistogramBinning(np.zeros(3), np.ones(3), 8, "marginal"),
+                  HistogramBinning(np.zeros(3), np.full(3, 2.0), 8)):
+        with pytest.raises(BinningMismatch):
+            binned_tv(x, law, other)
+    with pytest.raises(BinningMismatch):  # a law of other coordinates
+        binned_law(spec, HistogramBinning(np.zeros(2), np.ones(2), 8))
+    with pytest.raises(BinningMismatch):  # a joint axis off [0, total]
+        binned_law(spec, HistogramBinning(np.zeros(3), np.full(3, 2.0), 8))
+    with pytest.raises(BinningMismatch):  # joint above 3 coordinates
+        binned_law(DirichletSpec(np.ones(4), 1.0),
+                   HistogramBinning(np.zeros(4), np.ones(4), 4))
+    with pytest.raises(EmptySample):
+        binned_tv(np.empty((0, 3)), law, joint)
+
+
 def test_default_binning_rules():
     assert default_binning(1000, [1.0]).bins == 10
     assert default_binning(300_000, [1.0]).bins == 64
@@ -368,7 +503,7 @@ def test_convergence_report_flags_point_mass():
 def test_convergence_report_ks_matches_plain_marginal_ks(initial_state, n_traj):
     # close sample times: most holdings do not change between two of them,
     # so the report reuses most CDF values; an endowment start ties every
-    # value at t=0
+    # value at t=0.  The moment z-scores are plain calls too.
     cfg = make_config(
         rates=[[0.0, 1.0, 0.5], [1.0, 0.0, 2.0], [0.5, 2.0, 0.0]],
         exponents=[[0.6, 1.4], [1.1, 0.8], [2.3, 1.0]],
@@ -387,8 +522,30 @@ def test_convergence_report_ks_matches_plain_marginal_ks(initial_state, n_traj):
                                   spec.exponent_sum, spec.total)
                 assert rep.ks_statistic[t, i, g] == res.statistic
                 assert rep.ks_pvalue[t, i, g] == res.pvalue
+    for t in range(times.size):
+        assert rep.max_moment_z[t] == max(
+            np.abs(moment_z_scores(samples[t, :, :, g], good_spec(cfg, g))).max()
+            for g in range(cfg.n_goods))
     if n_traj > _BLOCK:
         assert report_of(plan, workers=2).to_json_dict() == rep.to_json_dict()
+
+
+def test_convergence_report_draws_only_the_baseline(monkeypatch):
+    # the per-time TV compares with the exact binned law and draws
+    # nothing; the baseline draws one stationary sample per replicate
+    plan = _small_plan("equilibrium", n_traj=300, times=(0.0, 0.1, 0.5), n_goods=2)
+    draws = []
+    real = stats.sample_dirichlet
+    monkeypatch.setattr(stats, "sample_dirichlet",
+                        lambda *a, **k: draws.append(a) or real(*a, **k))
+    tally = ConvergenceTally(plan)
+    run_ensemble(tally.plan, each=tally.add)
+    assert draws == []
+    rep = convergence_report(tally)
+    assert len(draws) == stats._BASELINE_REPLICATES * plan.cfg.n_goods
+    assert rep.baseline_replicates == stats._BASELINE_REPLICATES
+    # at an equilibrium start every TV is one more draw of the baseline's law
+    assert (rep.tv <= rep.baseline_tv_mean + 6.0 * rep.baseline_tv_std).all()
 
 
 def test_convergence_report_needs_samples():
