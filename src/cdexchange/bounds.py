@@ -18,6 +18,12 @@ becomes a certified numerical lower bound here:
   component for the time-``tau`` chain (the coefficient times a Poisson
   tail) and the certified exponential rate, maximized over ``tau``.
 
+Both floors depend on exponent values, not on which agents hold them, so
+each works over a good's D distinct values and their multiplicities:
+O(D**2) pairs per level, not one per ordered pair of agents.  A uniform
+(Kac-type) column costs a few pairs per level at any number of agents.
+The sorted column and its pairs are built once per column and cached.
+
 Every floor errs downward, so the resulting rate is a true bound; the
 price of each conservative step is only a smaller reported rate.  Both
 floors are computed in log space and rounded down there by a margin
@@ -34,8 +40,10 @@ for loading scipy, on its first call; importing this module does not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,10 +97,56 @@ def _check_alphas(level, alphas):
     return int(level), a
 
 
-def _ordered_pairs(values):
-    """``(values[i], values[j])`` for every ``i != j``, as two flat arrays."""
-    i, j = np.nonzero(~np.eye(values.size, dtype=bool))
-    return values[i], values[j]
+class _Exponents(NamedTuple):
+    """One exponent column, as both floors use it.
+
+    ``desc`` holds the exponents in descending order, so an exponent's
+    rank is its index there, and ``prefix[k]`` is the sum of the ``k``
+    largest.  ``first`` holds the rank of each distinct value's first
+    copy, ``twins`` that of each value that occurs at least twice (its
+    second copy has the next rank).  ``pair_a`` and ``pair_b`` list every
+    ordered exponent pair that two different agents can hold: one per
+    ordered pair of distinct values, and ``(v, v)`` for each repeated
+    ``v``.
+    """
+
+    desc: np.ndarray
+    prefix: np.ndarray
+    first: np.ndarray
+    twins: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _exponents_for(alpha_bytes: bytes) -> _Exponents:
+    desc = np.sort(np.frombuffer(alpha_bytes))[::-1]
+    prefix = np.concatenate(([0.0], np.cumsum(desc)))
+    first = np.flatnonzero(np.concatenate(([True], desc[1:] != desc[:-1])))
+    twins = first[np.diff(np.append(first, desc.size)) > 1]
+    ra, rb = _rank_pairs(first, twins)
+    table = _Exponents(desc, prefix, first, twins, desc[ra], desc[rb])
+    # Shared by every caller with the same column: keep it read-only.
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _distinct_index_pairs(k: int):
+    i, j = np.nonzero(~np.eye(k, dtype=bool))
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _rank_pairs(ranks, twins):
+    """Ordered pairs of distinct ranks: every pair of entries of the
+    unique ``ranks``, and ``(t, t + 1)`` for each twin rank ``t``.  Both
+    ranks of a twin pair hold one value and fall on the same side of any
+    prefix the gamma floor takes, so the reverse order adds nothing."""
+    i, j = _distinct_index_pairs(ranks.size)
+    return np.concatenate((ranks[i], twins)), np.concatenate((ranks[j], twins + 1))
 
 
 # Relative error allowed per unit of log-term magnitude: a few ulps for each
@@ -130,17 +184,35 @@ def density_ratio_floor(level, alphas) -> float:
     candidates the two at ``x = 1/n`` and ``x = 1`` can bind:
     ``((n+1)/n)**(1-a) * min(1, n**(1+b-a))``.
 
-    Scanning every ordered pair covers every relabeling of which agents
-    are in play at this induction level, so the result is valid (if
-    conservative) for all of them.  Scale-free in the good's total.
+    Scanning every ordered pair of exponent values that two agents hold
+    covers every relabeling of which agents are in play at this induction
+    level, so the result is valid (if conservative) for all of them.  The
+    function depends on the values alone, so the scan takes each ordered
+    pair of distinct values once, and ``(v, v)`` only where two agents
+    hold ``v``: O(D**2) work for D distinct values, whatever the number
+    of agents.  Scale-free in the good's total.
     """
     level, alphas = _check_alphas(level, alphas)
-    a, b = _ordered_pairs(alphas)
+    table = _exponents_for(alphas.tobytes())
+    a, b = table.pair_a, table.pair_b
     log_step, log_n = math.log1p(1.0 / level), math.log(level)
     binds = a > 1.0
     log_f = (1.0 - a) * log_step + np.minimum(0.0, 1.0 + b - a) * log_n
     size = (1.0 + a) * log_step + (1.0 + a + b) * log_n
     return _exp_floor(np.where(binds, log_f, 0.0), np.where(binds, size, 0.0))
+
+
+def _worst_sums(level, table):
+    """``(a, b, s)`` for every ordered rank pair the gamma floor needs:
+    ``s`` is the worst in-play sum for ``a`` when ``b`` joins."""
+    m = level - 1
+    ranks = np.union1d(table.first, np.arange(m, min(m + 3, table.desc.size)))
+    ra, rb = _rank_pairs(ranks, table.twins)
+    a, b = table.desc[ra], table.desc[rb]
+    lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+    taken = m + (lo < m) + (hi <= m)  # prefix length once a and b are skipped
+    s = table.prefix[taken] + np.where(ra < taken, 0.0, a) - np.where(rb < taken, b, 0.0)
+    return a, b, s
 
 
 def gamma_ratio_floor(level, alphas) -> float:
@@ -154,20 +226,19 @@ def gamma_ratio_floor(level, alphas) -> float:
     takes the ``level - 1`` largest remaining exponents into ``s``: a
     prefix of the exponents sorted in descending order, lengthened past
     the ranks of ``a`` and ``b`` where they fall inside it.
+
+    The computed ``s`` (rounding included) depends on the ranks of ``a``
+    and ``b`` only through where each falls: below ``m = level - 1``, at
+    ``m``, or above it.  Every such case is met by pairs drawn from each
+    distinct value's first rank, the ranks ``m`` to ``m + 2``, and each
+    repeated value's first two ranks, so those O(D**2) pairs for D
+    distinct values give exactly the floor that every pair of agents
+    would give.
     """
     from scipy.special import digamma, gammaln
 
     level, alphas = _check_alphas(level, alphas)
-    order = np.argsort(alphas)[::-1]
-    rank = np.empty(alphas.size, dtype=np.intp)
-    rank[order] = np.arange(alphas.size)
-    prefix = np.concatenate(([0.0], np.cumsum(alphas[order])))
-    a, b = _ordered_pairs(alphas)
-    ra, rb = _ordered_pairs(rank)
-    m = level - 1
-    lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
-    taken = m + (lo < m) + (hi <= m)  # prefix length once a and b are skipped
-    s = prefix[taken] + np.where(ra < taken, 0.0, a) - np.where(rb < taken, b, 0.0)
+    a, b, s = _worst_sums(level, _exponents_for(alphas.tobytes()))
     terms = np.stack([gammaln(a + b), -gammaln(a), gammaln(s), -gammaln(s + b)])
     # gammaln is accurate to a few ulps of max(|value|, 1).  The rounding of
     # s, at most (level + 3) ulps of s + b, moves the log by up to

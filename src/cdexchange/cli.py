@@ -62,9 +62,12 @@ class ValidationError(ValueError):
 
 # Inputs over these limits are refused with exit code 1 before any work:
 # runs that could not finish in reasonable time or memory, and presets
-# whose N x N rate matrix would be a huge nested list.
+# whose N x N rate matrix would be a huge nested list.  A certificate
+# ladder costs about 0.2 us per agent and ordered pair of distinct
+# exponent values (2-core x86 VM), so its limit is a few minutes of work.
 _MAX_EVENTS = 1e9
 _MAX_RUN_BYTES = 2 * 2**30
+_MAX_LADDER_PAIRS = 1e9
 _MAX_PRESET_AGENTS = 1000
 
 _TOP_KEYS = {"economy", "simulation"}
@@ -368,6 +371,20 @@ def _preflight(plan, command):
         )
 
 
+def _bound_preflight(cfg):
+    """Refuse a config whose certificate ladders would evaluate more than
+    the limit of exponent pairs: N levels times D**2 ordered pairs of a
+    good's D distinct exponent values, summed over goods."""
+    pairs = sum(cfg.n_agents * np.unique(col).size ** 2 for col in cfg.exponents.T)
+    if pairs > _MAX_LADDER_PAIRS:
+        raise ValidationError(
+            f"the certificate ladders would evaluate {pairs:.3g} exponent pairs "
+            f"(agents x distinct exponents^2, summed over goods), over the limit "
+            f"of {_MAX_LADDER_PAIRS:.3g}",
+            path="economy.exponents",
+        )
+
+
 def _dispatch(manifest: RunManifest) -> int:
     if manifest.command not in ("simulate", "verify", "bound", "preset-kac"):
         raise ValidationError(f"unknown command {manifest.command!r}", path="command")
@@ -394,6 +411,7 @@ def _dispatch(manifest: RunManifest) -> int:
     cfg, plan = _apply_overrides(manifest, cfg, plan)
 
     if manifest.command == "bound":
+        _bound_preflight(cfg)
         report = doeblin_report(cfg)
         _write_json(os.path.join(out, "doeblin.json"), report.to_json_dict())
         return 0

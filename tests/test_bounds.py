@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma, gammainc, gammaincc
+from scipy.special import digamma, gammainc, gammaincc, gammaln
 
 from cdexchange import (
     NonPositiveExponent,
@@ -23,7 +23,13 @@ from cdexchange import (
     optimize_rate,
     rate_ratio,
 )
-from cdexchange.bounds import _LOG_SLACK, _poisson_split
+from cdexchange.bounds import (
+    _LOG_SLACK,
+    _exp_floor,
+    _exponents_for,
+    _poisson_split,
+    _worst_sums,
+)
 
 from util import make_config, uniform_config
 
@@ -221,6 +227,23 @@ def floor_inputs(draw, max_level=12, max_extra=3):
     return level, np.array(alphas)
 
 
+@st.composite
+def palette_inputs(draw, max_level=12, max_extra=3):
+    """Like ``floor_inputs``, but every exponent is one of two or three
+    values, so that several agents share each value."""
+    level = draw(st.integers(2, max_level))
+    size = level + 1 + draw(st.integers(0, max_extra))
+    palette = draw(st.lists(exponent, min_size=2, max_size=3, unique=True))
+    alphas = draw(st.lists(st.sampled_from(palette), min_size=size, max_size=size))
+    return level, np.array(alphas)
+
+
+def any_inputs(max_level=12, max_extra=3):
+    return st.one_of(
+        floor_inputs(max_level, max_extra), palette_inputs(max_level, max_extra)
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(inputs=floor_inputs(), seed=st.integers(0, 2**32 - 1))
 def test_density_floor_below_vertices_and_points(inputs, seed):
@@ -236,7 +259,7 @@ def test_density_floor_below_vertices_and_points(inputs, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(inputs=floor_inputs(max_level=8, max_extra=1))
+@given(inputs=any_inputs(max_level=8, max_extra=1))
 def test_grid_oracle_below_density_floor(inputs):
     level, alphas = inputs
     oracle = grid_density_floor(level, alphas, grid=64)
@@ -310,15 +333,17 @@ def gamma_floor_size(level, a, b, s):
 
 def test_gamma_floor_matches_brute_force():
     rng = derived_rng(0, 3, 21)
-    for level, size in ((2, 3), (2, 5), (3, 4), (3, 6), (4, 5)):
-        alphas = rng.uniform(0.3, 4.0, size=size)
-        fast = gamma_ratio_floor(level, alphas)
-        slow = brute_force_gamma_floor(level, alphas)
-        assert math.isclose(fast, slow, rel_tol=1e-12)
+    for level, size in ((2, 3), (2, 5), (3, 4), (3, 6), (4, 5), (4, 7)):
+        for palette in (None, 2, 3):  # distinct exponents, or ties
+            values = rng.uniform(0.3, 4.0, size=palette or size)
+            alphas = values if palette is None else rng.choice(values, size=size)
+            fast = gamma_ratio_floor(level, alphas)
+            slow = brute_force_gamma_floor(level, alphas)
+            assert math.isclose(fast, slow, rel_tol=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
-@given(inputs=floor_inputs(max_level=5, max_extra=1))
+@given(inputs=any_inputs(max_level=5, max_extra=1))
 def test_gamma_floor_below_every_relabeling(inputs):
     level, alphas = inputs
     floor = gamma_ratio_floor(level, alphas)
@@ -326,8 +351,9 @@ def test_gamma_floor_below_every_relabeling(inputs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(inputs=floor_inputs(max_level=20, max_extra=4))
+@given(inputs=any_inputs(max_level=20, max_extra=4))
 @example(inputs=(18, np.array([1.0] * 6 + [3.0] + [5.0] * 10 + [4.5] * 2)))
+@example(inputs=(10, np.array([0.3] * 14)))
 def test_gamma_floor_matches_pairwise_loop(inputs):
     # The floor lowers its log by _LOG_SLACK times the error size of the
     # pair that binds it, after an error of at most that much in its own
@@ -341,6 +367,97 @@ def test_gamma_floor_matches_pairwise_loop(inputs):
     slow = math.exp(logs.min())
     size = sizes[np.argmin(logs - _LOG_SLACK * sizes)]
     assert slow * math.exp(-3.0 * _LOG_SLACK * size) <= fast <= slow
+
+
+# ---------------------------------------------------------------- all agent pairs
+
+def all_agent_pairs(values):
+    i, j = np.nonzero(~np.eye(values.size, dtype=bool))
+    return values[i], values[j]
+
+
+def all_pairs_density_floor(level, alphas):
+    # Reference route: the density floor's formula and margin over every
+    # ordered pair of agents, N(N - 1) pairs, duplicates and all.
+    a, b = all_agent_pairs(np.asarray(alphas, dtype=float))
+    log_step, log_n = math.log1p(1.0 / level), math.log(level)
+    binds = a > 1.0
+    log_f = (1.0 - a) * log_step + np.minimum(0.0, 1.0 + b - a) * log_n
+    size = (1.0 + a) * log_step + (1.0 + a + b) * log_n
+    return _exp_floor(np.where(binds, log_f, 0.0), np.where(binds, size, 0.0))
+
+
+def all_pairs_worst_sums(level, alphas):
+    # Reference route: the gamma floor's worst s for every ordered pair of
+    # agents, each agent at its own rank in the sort.
+    alphas = np.asarray(alphas, dtype=float)
+    order = np.argsort(alphas)[::-1]
+    rank = np.empty(alphas.size, dtype=np.intp)
+    rank[order] = np.arange(alphas.size)
+    prefix = np.concatenate(([0.0], np.cumsum(alphas[order])))
+    a, b = all_agent_pairs(alphas)
+    ra, rb = all_agent_pairs(rank)
+    m = level - 1
+    lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+    taken = m + (lo < m) + (hi <= m)
+    s = prefix[taken] + np.where(ra < taken, 0.0, a) - np.where(rb < taken, b, 0.0)
+    return a, b, s
+
+
+def all_pairs_gamma_floor(level, alphas):
+    # Reference route: the gamma floor's margin over all_pairs_worst_sums.
+    a, b, s = all_pairs_worst_sums(level, alphas)
+    terms = np.stack([gammaln(a + b), -gammaln(a), gammaln(s), -gammaln(s + b)])
+    size = (np.abs(terms) + 1.0).sum(axis=0) + (level + 3.0) * (s + b) * (
+        digamma(s + b) - digamma(s)
+    )
+    return _exp_floor(terms.sum(axis=0), size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=any_inputs(max_level=20, max_extra=6))
+def test_floors_match_all_agent_pairs(inputs):
+    # Over distinct exponent values the floors see the same (a, b, s)
+    # doubles as over every pair of agents, so they agree bit for bit,
+    # with distinct exponents and with ties.
+    level, alphas = inputs
+    assert density_ratio_floor(level, alphas) == all_pairs_density_floor(level, alphas)
+    assert gamma_ratio_floor(level, alphas) == all_pairs_gamma_floor(level, alphas)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=any_inputs(max_level=20, max_extra=6))
+def test_worst_sums_meet_every_agent_pair(inputs):
+    # Agents that share a value give the same s up to rounding, and the
+    # rounding depends on their ranks.  The pairs the gamma floor keeps
+    # give every (a, b, s) triple, rounding included, that some ordered
+    # pair of agents gives, and no other.
+    level, alphas = inputs
+    kept = zip(*_worst_sums(level, _exponents_for(alphas.tobytes())))
+    assert set(kept) == set(zip(*all_pairs_worst_sums(level, alphas)))
+
+
+@pytest.mark.parametrize("value", [0.3, 0.7, 1.3, 2.7])
+def test_floors_match_all_agent_pairs_on_equal_exponents(value):
+    # For these values the prefix sums round differently by rank: the
+    # gamma floor over one pair of ranks alone differs from the all-pairs
+    # floor at one or two levels of each.
+    alphas = np.full(40, value)
+    for level in range(2, alphas.size):
+        assert density_ratio_floor(level, alphas) == all_pairs_density_floor(level, alphas)
+        assert gamma_ratio_floor(level, alphas) == all_pairs_gamma_floor(level, alphas)
+
+
+def test_exponent_table_is_shared_and_read_only():
+    alphas = np.array([2.0, 0.5, 2.0, 1.5, 0.5, 0.5])
+    table = _exponents_for(alphas.tobytes())
+    assert _exponents_for(alphas.copy().tobytes()) is table
+    assert table.desc.tolist() == [2.0, 2.0, 1.5, 0.5, 0.5, 0.5]
+    assert table.first.tolist() == [0, 2, 3]
+    assert table.twins.tolist() == [0, 3]
+    pairs = sorted(set(zip(table.pair_a.tolist(), table.pair_b.tolist())))
+    assert pairs == sorted(set(itertools.permutations(alphas.tolist(), 2)))
+    assert not any(a.flags.writeable for a in table)
 
 
 def test_gamma_floor_below_one():
@@ -381,6 +498,27 @@ def test_coefficients_strictly_decreasing():
     assert [lv.n for lv in levels] == [2, 3, 4, 5]
     for lv in levels:
         assert math.isclose(lv.coefficient, math.exp(lv.log_coefficient), rel_tol=1e-15)
+
+
+def test_uniform_ladder_of_a_thousand_agents():
+    # 1000 equal exponents take a few exponent pairs per level.  With
+    # a = b = 1/2 every relabeling gives s = n a, so each gamma floor sits
+    # within its documented margin under Gamma(2a)/Gamma(a) *
+    # Gamma(na)/Gamma(na + a), and each density floor is exactly 1.
+    mp = pytest.importorskip("mpmath")
+    a = 0.5
+    levels = minorization_coefficients(kac_config(1000), 0)
+    assert len(levels) == 999
+    with mp.workdps(30):
+        for lv in levels[:-1]:
+            n = lv.n
+            exact = mp.exp(
+                mp.loggamma(2 * a) - mp.loggamma(a)
+                + mp.loggamma(n * a) - mp.loggamma(n * a + a)
+            )
+            margin = mp.exp(-2.0 * _LOG_SLACK * gamma_floor_size(n, a, a, n * a))
+            assert exact * margin * (1 - mp.mpf(2) ** -52) <= lv.gamma_floor <= exact
+            assert lv.density_floor == 1.0
 
 
 def test_coefficients_bad_good_index():

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cdexchange
 from cdexchange import ConvergenceTally, SimulationPlan, cli, run_ensemble, validate_plan
 from cdexchange.cli import (
     ParseError,
@@ -395,6 +399,54 @@ def test_run_exit_codes(tmp_path, monkeypatch, capsys):
     assert run(RunManifest("preset-kac", out,
                            agents=cli._MAX_PRESET_AGENTS + 1)) == 1
     assert "agents" in capsys.readouterr().err
+
+
+def test_run_bound_preflight(tmp_path, monkeypatch, capsys):
+    # 4 agents; good 0 has 2 distinct exponents, good 1 one: the ladders
+    # evaluate 4 x 2^2 + 4 x 1^2 = 20 exponent pairs.  Over the limit the
+    # config is refused before any ladder work (the patched doeblin_report
+    # would make a started run exit 2).
+    doc = kac_preset(4)
+    doc["economy"]["n_goods"] = 2
+    doc["economy"]["exponents"] = [[0.5, 1.0], [2.0, 1.0], [0.5, 1.0], [2.0, 1.0]]
+    doc["economy"]["endowments"] = [[0.25, 0.25]] * 4
+    cfg_path = write_doc(tmp_path, doc)
+    out = tmp_path / "o"
+
+    def boom(cfg):
+        raise RuntimeError("ladder started")
+
+    monkeypatch.setattr(cli, "doeblin_report", boom)
+    monkeypatch.setattr(cli, "_MAX_LADDER_PAIRS", 19)
+    assert run(RunManifest("bound", str(out), config_path=cfg_path)) == 1
+    err = capsys.readouterr().err
+    assert "economy.exponents" in err and "20 exponent pairs" in err
+    assert not (out / "doeblin.json").exists()
+    monkeypatch.setattr(cli, "_MAX_LADDER_PAIRS", 20)
+    assert run(RunManifest("bound", str(out), config_path=cfg_path)) == 2
+    assert "ladder started" in capsys.readouterr().err
+
+
+def test_python_dash_m_cdexchange(tmp_path):
+    # python -m cdexchange runs the same command line as the script, with
+    # nothing on stderr, and writes the same bytes as an in-process run
+    assert main(["preset-kac", "--agents", "4", "--out", str(tmp_path)]) == 0
+    cfg_path = str(tmp_path / "kac_config.json")
+    assert run(RunManifest("bound", str(tmp_path / "here"), config_path=cfg_path)) == 0
+    src = str(Path(cdexchange.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdexchange", "bound", "--config", cfg_path,
+         "--out", str(tmp_path / "there")],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert (tmp_path / "there" / "doeblin.json").read_bytes() == (
+        tmp_path / "here" / "doeblin.json"
+    ).read_bytes()
 
 
 @pytest.mark.parametrize("n_agents, n_goods", [(2, 1), (3, 2), (6, 1)])
